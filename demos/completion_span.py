@@ -12,7 +12,7 @@ loading dock.
 Run with:  python demos/completion_span.py
 """
 
-from tropspan import Matrix, latest_schedule, max_completion_spread, max_plus, norm
+from tropspan import Matrix, latest_schedule, max_completion_spread, max_plus
 
 a = Matrix(max_plus, [[4, 1, 1],
                       [2, 2, 0],
@@ -22,7 +22,7 @@ print(a)
 
 report = max_completion_spread(a)
 print("\nlargest achievable completion spread:", report.delta)
-print("(equals norm(a @ a.conj()) =", str(norm(a @ a.conj())) + ")")
+print("(equals (a @ a.conj()).norm() =", str((a @ a.conj()).norm()) + ")")
 
 print("\nevery optimal initiation vector, as pinned boxes (shift-invariant):")
 for (k, s), fam in zip(report.pairs, report.families):

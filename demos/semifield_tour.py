@@ -3,8 +3,7 @@
 Run with:  python demos/semifield_tour.py
 """
 
-from tropspan import (INSTANCES, Matrix, asterate, max_plus, norm, ones,
-                      tr_closure, vector)
+from tropspan import INSTANCES, Matrix, asterate, max_plus, ones, tr_closure, vector
 
 print("=== scalar arithmetic in the three shipped semifields ===")
 for sf in INSTANCES:
@@ -25,11 +24,11 @@ print(a @ a)
 x = vector(max_plus, [0, -1, -3])
 print("\ncolumn x =", x.entries())
 print("a @ x    =", (a @ x).entries())
-print("norm(x)  =", norm(x), "  (the largest component)")
+print("x.norm() =", x.norm(), "  (the largest component)")
 
 print("\nconjugate transpose inverts every entry while transposing:")
 print(a.conj())
-print("\nnorm(a @ a.conj()) =", norm(a @ a.conj()),
+print("\n(a @ a.conj()).norm() =", (a @ a.conj()).norm(),
       " (the largest achievable completion spread, see the other demos)")
 
 print("\n=== star closure ===")

@@ -11,10 +11,8 @@ from .errors import (GridTooLarge, InvariantViolation, InversionOfZero,
                      NotIrreducible, NotRegular, NotSquare, ShapeMismatch,
                      TrConditionViolated, TropicalError, ZeroEntry,
                      ZeroRightHandSide)
-from .matvec import (Matrix, asterate, conjugate_transpose, is_column_regular,
-                     is_irreducible, is_regular, is_row_regular, mat_add,
-                     mat_mul, norm, ones, tr_closure, trace, vector,
-                     vector_conjugate)
+from .matvec import (Matrix, asterate, is_irreducible, is_regular, ones,
+                     tr_closure, vector)
 from .optimizer import (ConstrainedReport, ProblemInstance, SolutionReport,
                         evaluate_objective, solve_constrained, solve_norm_form,
                         solve_unconstrained)
@@ -23,8 +21,8 @@ from .scheduling import (Project, Schedule, latest_schedule,
                          max_completion_spread_constrained,
                          max_initiation_spread)
 from .semiring import INSTANCES, Scalar, Semifield, max_plus, max_times, min_plus
-from .solvers import (BoxFamily, SubeigenGenerator, family_contains,
-                      solve_scalar_equation, solve_subeigen)
+from .solvers import (BoxFamily, SubeigenGenerator, solve_scalar_equation,
+                      solve_subeigen)
 from .verification import GridMax, GridSpec, brute_force_max, brute_force_subeigen
 
 __version__ = "0.1.0"
@@ -36,11 +34,9 @@ __all__ = [
     "Scalar", "Schedule", "Semifield", "ShapeMismatch", "SolutionReport",
     "SubeigenGenerator", "TrConditionViolated", "TropicalError", "ZeroEntry",
     "ZeroRightHandSide", "asterate", "brute_force_max", "brute_force_subeigen",
-    "conjugate_transpose", "evaluate_objective", "family_contains",
-    "is_column_regular", "is_irreducible", "is_regular", "is_row_regular",
-    "latest_schedule", "mat_add", "mat_mul", "max_completion_spread",
-    "max_completion_spread_constrained", "max_initiation_spread", "max_plus",
-    "max_times", "min_plus", "norm", "ones", "solve_constrained",
-    "solve_norm_form", "solve_scalar_equation", "solve_subeigen",
-    "solve_unconstrained", "tr_closure", "trace", "vector", "vector_conjugate",
+    "evaluate_objective", "is_irreducible", "is_regular", "latest_schedule",
+    "max_completion_spread", "max_completion_spread_constrained",
+    "max_initiation_spread", "max_plus", "max_times", "min_plus", "ones",
+    "solve_constrained", "solve_norm_form", "solve_scalar_equation",
+    "solve_subeigen", "solve_unconstrained", "tr_closure", "vector",
 ]

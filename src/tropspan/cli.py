@@ -46,16 +46,23 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseFailure(message)
 
 
+def _finite(value) -> bool:
+    """True for a number that is finite within the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int too large to become a float
+        return False
+
+
 def _number(text: str):
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value != value or value in (float("inf"), float("-inf")):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not _finite(value):
         raise argparse.ArgumentTypeError("alpha must be finite")
     return value
 
@@ -82,9 +89,11 @@ def _load_project(path: str) -> Project:
         text = Path(path).read_text()
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _ParseFailure(f"{path}: not valid text: {exc}")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also over-long integers, deep nesting
         raise _ParseFailure(f"{path}: not valid json: {exc}")
     if not isinstance(raw, dict):
         raise _ParseFailure(f"{path}: the top level must be an object")
@@ -119,7 +128,7 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
                         f"(row {i + 1}, column {j + 1})")
                 continue
             if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not math.isfinite(v):
+                    or not _finite(v):
                 raise _ParseFailure(
                     f"{path}: entry at row {i + 1}, column {j + 1} of "
                     f"'{key}' must be a finite number or null")

@@ -212,13 +212,11 @@ class Matrix:
         need the missing top element as its inverse.
         """
         sf = self.sf
-        zero = sf.zero
-        for i, r in enumerate(self.data):
-            for j, v in enumerate(r):
-                if v == zero:
-                    raise ZeroEntry(
-                        f"cannot conjugate: entry at row {i + 1}, "
-                        f"column {j + 1} is the zero")
+        pos = self.first_zero()
+        if pos is not None:
+            raise ZeroEntry(
+                f"cannot conjugate: entry at row {pos[0] + 1}, "
+                f"column {pos[1] + 1} is the zero")
         inv = sf.inv
         return Matrix._wrap(sf, tuple(
             tuple(inv(self.data[i][j]) for i in range(self.rows))
@@ -253,9 +251,16 @@ class Matrix:
         zero = self.sf.zero
         return all(any(r[j] != zero for r in self.data) for j in range(self.cols))
 
-    def is_zero_free(self) -> bool:
+    def first_zero(self) -> tuple[int, int] | None:
+        """Zero-based (row, column) of the first 𝟘 entry, row by row, or None."""
         zero = self.sf.zero
-        return all(v != zero for r in self.data for v in r)
+        for i, r in enumerate(self.data):
+            if zero in r:
+                return i, r.index(zero)
+        return None
+
+    def is_zero_free(self) -> bool:
+        return self.first_zero() is None
 
 
 def _fmt(v: Scalar) -> str:
@@ -265,7 +270,7 @@ def _fmt(v: Scalar) -> str:
 
 
 # ----------------------------------------------------------------------
-# operation vocabulary mirroring the class methods
+# vectors and whole-matrix operations
 
 def vector(sf: Semifield, entries: Iterable[Scalar | None]) -> Matrix:
     """Column vector over `sf`; ``None`` entries become 𝟘."""
@@ -277,41 +282,6 @@ def ones(sf: Semifield, n: int) -> Matrix:
     if n < 1:
         raise ValueError("a vector needs at least one component")
     return Matrix._wrap(sf, ((sf.one,),) * n)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def conjugate_transpose(a: Matrix) -> Matrix:
-    return a.conj()
-
-
-def vector_conjugate(x: Matrix) -> Matrix:
-    """Conjugate of a vector: a regular column becomes a row of inverses."""
-    if not x.is_vector:
-        raise ShapeMismatch("vector_conjugate expects a row or column vector")
-    return x.conj()
-
-
-def trace(a: Matrix) -> Scalar:
-    return a.trace()
-
-
-def norm(a: Matrix) -> Scalar:
-    return a.norm()
-
-
-def is_row_regular(a: Matrix) -> bool:
-    return a.is_row_regular()
-
-
-def is_column_regular(a: Matrix) -> bool:
-    return a.is_column_regular()
 
 
 def is_regular(x: Matrix) -> bool:

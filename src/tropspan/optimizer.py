@@ -58,13 +58,12 @@ class ProblemInstance:
             raise InvariantViolation(
                 f"vector q must have one component per row of B; "
                 f"got {q.rows} for {b.rows} rows")
+        pos = a.first_zero()
+        if pos is not None:
+            raise InvariantViolation(
+                f"matrix A must have no zero entries; entry at "
+                f"row {pos[0] + 1}, column {pos[1] + 1} is zero")
         zero = a.sf.zero
-        for i, row in enumerate(a.data):
-            for j, v in enumerate(row):
-                if v == zero:
-                    raise InvariantViolation(
-                        f"matrix A must have no zero entries; entry at "
-                        f"row {i + 1}, column {j + 1} is zero")
         if not b.is_column_regular():
             j = next(j for j in range(b.cols)
                      if all(r[j] == zero for r in b.data))

@@ -120,22 +120,24 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     alpha = sf.canonical(alpha)
     if sf.is_zero(alpha):
         raise ValueError("alpha must exceed the semifield zero")
-    out: list[Schedule] = []
+    # a family's largest member is its bounds vector, so families that
+    # share bounds (all pairs with the same row s) share their schedule
+    seen_bounds = set()
+    out: dict[tuple[Matrix, Matrix | None], Schedule] = {}
     for fam in report.families:
+        if fam.upper_bounds in seen_bounds:
+            continue
+        seen_bounds.add(fam.upper_bounds)
         member = fam.max_member().scale(alpha)
         x = closure @ member if closure is not None else member
         y = start_finish @ x if start_finish is not None else None
-        if any(s.initiation == x and s.completion == y for s in out):
-            continue
-        out.append(Schedule(x, y, report.delta))
-    return out
+        out.setdefault((x, y), Schedule(x, y, report.delta))
+    return list(out.values())
 
 
 def _require_zero_free(m: Matrix, label: str) -> None:
-    zero = m.sf.zero
-    for i, row in enumerate(m.data):
-        for j, v in enumerate(row):
-            if v == zero:
-                raise InvariantViolation(
-                    f"{label} must have no zero entries; entry at "
-                    f"row {i + 1}, column {j + 1} is zero")
+    pos = m.first_zero()
+    if pos is not None:
+        raise InvariantViolation(
+            f"{label} must have no zero entries; entry at "
+            f"row {pos[0] + 1}, column {pos[1] + 1} is zero")

@@ -37,8 +37,9 @@ Scalar = int | float
 
 
 def _is_number(a: object) -> bool:
-    # bool is an int subclass but makes no sense as a carrier element
-    return isinstance(a, (int, float)) and not isinstance(a, bool)
+    # bool is an int subclass but makes no sense as a carrier element;
+    # a == a rejects NaN without converting ints, which may exceed the float range
+    return isinstance(a, (int, float)) and not isinstance(a, bool) and a == a
 
 
 class Semifield:
@@ -102,7 +103,7 @@ class _MaxPlus(Semifield):
         return -a
 
     def contains(self, a):
-        return _is_number(a) and not math.isnan(a) and a < math.inf
+        return _is_number(a) and a < math.inf
 
 
 class _MinPlus(Semifield):
@@ -122,7 +123,7 @@ class _MinPlus(Semifield):
         return -a
 
     def contains(self, a):
-        return _is_number(a) and not math.isnan(a) and a > -math.inf
+        return _is_number(a) and a > -math.inf
 
 
 class _MaxTimes(Semifield):
@@ -142,7 +143,7 @@ class _MaxTimes(Semifield):
         return 1 / a
 
     def contains(self, a):
-        return _is_number(a) and not math.isnan(a) and 0 <= a < math.inf
+        return _is_number(a) and 0 <= a < math.inf
 
 
 max_plus = _MaxPlus()

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence, Union
 
-from .errors import NotIrreducible, NotRegular, NotSquare, ShapeMismatch, ZeroRightHandSide
-from .matvec import Matrix, asterate, is_irreducible, tr_closure
+from .errors import (NotIrreducible, NotRegular, NotSquare, ShapeMismatch,
+                     TrConditionViolated, ZeroRightHandSide)
+from .matvec import Matrix, asterate, is_irreducible
 from .semiring import Scalar, Semifield
 
 
@@ -130,15 +131,10 @@ def solve_subeigen(c: Matrix) -> SubeigenGenerator:
     if not is_irreducible(c):
         raise NotIrreducible(
             "the constraint matrix's nonzero pattern must be strongly connected")
-    sf = c.sf
-    if sf.leq(tr_closure(c), sf.one):
+    try:
         return SubeigenGenerator("solvable", asterate(c))
-    return SubeigenGenerator("no_regular_solution", None)
-
-
-def family_contains(family: BoxFamily, x: Union[Matrix, Sequence[Scalar]],
-                    allow_scaling: bool = False) -> bool:
-    return family.contains(x, allow_scaling)
+    except TrConditionViolated:
+        return SubeigenGenerator("no_regular_solution", None)
 
 
 def _vector_entries(x: Union[Matrix, Sequence[Scalar]], dim: int) -> tuple[Scalar, ...]:

@@ -10,6 +10,7 @@ from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE,
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+BEYOND_FLOAT = "1" * 400   # an integer too large to convert to a float
 
 GOLDEN_RUNS = [
     ("ex1", ["sf", "--input", str(DATA / "ex1.json"), "--latest"]),
@@ -90,6 +91,26 @@ def test_missing_file_and_bad_usage_exit_4(capsys):
     capsys.readouterr()
     assert main(["sf", "--input", str(DATA / "ex1.json"), "--alpha", "abc"]) == EXIT_PARSE
     capsys.readouterr()
+    assert main(["sf", "--input", str(DATA / "ex1.json"), "--latest",
+                 "--alpha", BEYOND_FLOAT]) == EXIT_PARSE
+    assert "alpha must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"[" * 100_000 + b"]" * 100_000, "not valid json"),
+    (b'{"n": 1, "start_finish": [[\xff]]}', "not valid text"),
+    (b'{"n": 1, "start_finish": [[' + b"1" * 5000 + b"]]}", "not valid json"),
+    (b'{"n": 1, "start_finish": [[' + BEYOND_FLOAT.encode() + b"]]}", "finite"),
+    (b'{"n": 1, "start_start": [[' + BEYOND_FLOAT.encode() + b"]]}", "finite"),
+], ids=["deep-nesting", "not-utf8", "over-int-digit-limit", "start-finish-beyond-float",
+        "start-start-beyond-float"])
+def test_unparseable_files_exit_4(tmp_path, content, message, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["sf", "--input", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "invalid_input"
+    assert message in captured.err
 
 
 def test_alpha_shifts_families_and_schedules(capsys):

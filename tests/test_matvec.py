@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropspan import (Matrix, NotSquare, ShapeMismatch, TrConditionViolated,
-                      ZeroEntry, asterate, conjugate_transpose, is_column_regular,
-                      is_irreducible, is_regular, is_row_regular, mat_add, mat_mul,
-                      max_plus, max_times, min_plus, norm, ones, tr_closure, trace,
-                      vector, vector_conjugate)
+                      ZeroEntry, asterate, is_irreducible, is_regular, max_plus,
+                      max_times, min_plus, ones, tr_closure, vector)
 from support import (COMBINED, COMBINED_CONJ, COMBINED_TIMES_CONJ, NEG_INF,
                      SF_TIMES_CONJ, SS_SQUARED, SS_STAR, START_FINISH,
                      START_FINISH_CONJ, START_START, col, mp, rng_irreducible)
@@ -76,19 +74,19 @@ def test_repr_and_str_smoke():
 
 def test_mat_add_is_idempotent_with_zero_neutral():
     a = mp(START_FINISH)
-    assert mat_add(a, a) == a
-    assert mat_add(a, Matrix.zeros(max_plus, 3, 3)) == a
+    assert a + a == a
+    assert a + Matrix.zeros(max_plus, 3, 3) == a
 
 
 def test_mat_add_entrywise_values():
     left = mp([[1, None], [None, 2]])
     right = mp([[0, 3], [1, None]])
-    assert mat_add(left, right) == mp([[1, 3], [1, 2]])
+    assert left + right == mp([[1, 3], [1, 2]])
 
 
 def test_mat_add_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        mat_add(mp([[1]]), mp([[1, 2]]))
+        mp([[1]]) + mp([[1, 2]])
 
 
 @given(data=st.data())
@@ -107,17 +105,17 @@ def test_mat_add_dominates_both_operands(data):
 def test_mat_mul_identity_and_shapes():
     a = mp(START_FINISH)
     eye = Matrix.identity(max_plus, 3)
-    assert mat_mul(eye, a) == a
-    assert mat_mul(a, eye) == a
+    assert eye @ a == a
+    assert a @ eye == a
     with pytest.raises(ShapeMismatch):
-        mat_mul(a, mp([[1, 2]]))
+        a @ mp([[1, 2]])
 
 
 def test_mat_mul_pinned_products():
     a = mp(START_FINISH)
     c = mp(START_START)
-    assert mat_mul(a, mp(SS_STAR)) == mp(COMBINED)
-    assert mat_mul(c, c) == mp(SS_SQUARED)
+    assert a @ mp(SS_STAR) == mp(COMBINED)
+    assert c @ c == mp(SS_SQUARED)
 
 
 def test_powers():
@@ -142,44 +140,42 @@ def test_scale_shifts_every_entry():
 # conjugate transposition
 
 def test_conjugate_transpose_pinned_values():
-    assert conjugate_transpose(mp(START_FINISH)) == mp(START_FINISH_CONJ)
-    assert conjugate_transpose(mp(COMBINED)) == mp(COMBINED_CONJ)
-    assert conjugate_transpose(mp([[0]])) == mp([[0]])
+    assert mp(START_FINISH).conj() == mp(START_FINISH_CONJ)
+    assert mp(COMBINED).conj() == mp(COMBINED_CONJ)
+    assert mp([[0]]).conj() == mp([[0]])
 
 
 def test_conjugate_transpose_rejects_zero_entries():
     with pytest.raises(ZeroEntry):
-        conjugate_transpose(mp(START_START))
+        mp(START_START).conj()
 
 
 def test_vector_conjugate():
-    assert vector_conjugate(col([0, -1, -3])) == Matrix.row(max_plus, [0, 1, 3])
-    assert vector_conjugate(ones(max_plus, 3)) == Matrix.row(max_plus, [0, 0, 0])
-    assert vector_conjugate(col([4, 2, 0])) == Matrix.row(max_plus, [-4, -2, 0])
+    assert col([0, -1, -3]).conj() == Matrix.row(max_plus, [0, 1, 3])
+    assert ones(max_plus, 3).conj() == Matrix.row(max_plus, [0, 0, 0])
+    assert col([4, 2, 0]).conj() == Matrix.row(max_plus, [-4, -2, 0])
     with pytest.raises(ZeroEntry):
-        vector_conjugate(col([0, None]))
-    with pytest.raises(ShapeMismatch):
-        vector_conjugate(mp(START_FINISH))
+        col([0, None]).conj()
 
 
 # ----------------------------------------------------------------------
 # trace, norm, closures
 
 def test_trace():
-    assert trace(Matrix.identity(max_plus, 3)) == 0
-    assert trace(mp(START_START)) == NEG_INF
-    assert trace(mp([[4, 1], [2, 2]])) == 4
+    assert Matrix.identity(max_plus, 3).trace() == 0
+    assert mp(START_START).trace() == NEG_INF
+    assert mp([[4, 1], [2, 2]]).trace() == 4
     with pytest.raises(NotSquare):
-        trace(mp([[1, 2]]))
+        mp([[1, 2]]).trace()
 
 
 def test_norm():
-    assert norm(col([4, 2, 0])) == 4
-    assert norm(Matrix.zeros(max_plus, 2, 3)) == NEG_INF
+    assert col([4, 2, 0]).norm() == 4
+    assert Matrix.zeros(max_plus, 2, 3).norm() == NEG_INF
     d = mp(COMBINED)
     assert d @ d.conj() == mp(COMBINED_TIMES_CONJ)
-    assert norm(d @ d.conj()) == 2
-    assert norm(mp(START_FINISH) @ mp(START_FINISH_CONJ)) == 4
+    assert (d @ d.conj()).norm() == 2
+    assert (mp(START_FINISH) @ mp(START_FINISH_CONJ)).norm() == 4
     assert mp(START_FINISH) @ mp(START_FINISH_CONJ) == mp(SF_TIMES_CONJ)
 
 
@@ -217,10 +213,10 @@ def test_asterate_dominates_identity():
 def test_regularity_predicates():
     assert is_regular(col([0, -1, -3]))
     assert not is_regular(col([0, None, 1]))
-    assert is_column_regular(mp(START_START))
-    assert not is_column_regular(mp([[None, 1], [None, 2]]))
-    assert is_row_regular(mp([[None, 1], [2, None]]))
-    assert not is_row_regular(mp([[None, None], [1, 2]]))
+    assert mp(START_START).is_column_regular()
+    assert not mp([[None, 1], [None, 2]]).is_column_regular()
+    assert mp([[None, 1], [2, None]]).is_row_regular()
+    assert not mp([[None, None], [1, 2]]).is_row_regular()
     with pytest.raises(ShapeMismatch):
         is_regular(mp(START_FINISH))
 
@@ -277,7 +273,7 @@ def test_norm_of_outer_product_factors(data):
     dims = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     x = col(data.draw(vectors(dims[0])))
     y = col(data.draw(vectors(dims[1])))
-    assert norm(x @ y.transpose()) == max_plus.mul(norm(x), norm(y))
+    assert (x @ y.transpose()).norm() == max_plus.mul(x.norm(), y.norm())
 
 
 @settings(max_examples=60)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from tropspan import (InvariantViolation, Matrix, NotIrreducible, NotSquare,
-                      Project, ShapeMismatch, SolutionReport, TrConditionViolated,
+                      Project, Schedule, ShapeMismatch, SolutionReport, TrConditionViolated,
                       latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
                       max_plus)
@@ -161,6 +161,46 @@ def test_latest_schedule_shift_invariance():
     assert shifted.initiation == base.initiation.scale(7)
     assert shifted.completion == base.completion.scale(7)
     assert shifted.span == base.span
+
+
+def _latest_schedule_per_family(report, closure, start_finish, alpha):
+    """Reference: one product per family, then a scan for an equal schedule."""
+    out = []
+    for fam in report.families:
+        member = fam.max_member().scale(alpha)
+        x = closure @ member if closure is not None else member
+        y = start_finish @ x if start_finish is not None else None
+        if any(s.initiation == x and s.completion == y for s in out):
+            continue
+        out.append(Schedule(x, y, report.delta))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0, 7])
+def test_latest_schedule_matches_per_family_reference(alpha):
+    rng = random.Random(alpha)
+    for n in range(1, 13):
+        for rows in ([[0] * n for _ in range(n)],
+                     [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]):
+            a = mp(rows)
+            c = mp([[-v for v in row] for row in rows])   # dense, every cycle <= 0
+            tied = mp([[0] * n for _ in range(n)])        # its own star closure
+            runs = [(max_completion_spread(a), None, a),
+                    (*max_initiation_spread(c), None),
+                    (*max_completion_spread_constrained(a, c), a),
+                    # maps distinct bounds with equal maxima to one schedule
+                    (max_completion_spread(a), tied, a)]
+            for report, closure, start_finish in runs:
+                assert (latest_schedule(report, closure, start_finish, alpha)
+                        == _latest_schedule_per_family(report, closure, start_finish, alpha))
+
+
+def test_all_tied_families_collapse_to_one_schedule():
+    a = mp([[0] * 40 for _ in range(40)])
+    report = max_completion_spread(a)
+    assert len(report.families) == 1600
+    sched, = latest_schedule(report, start_finish=a)
+    assert sched.initiation == col([0] * 40)
 
 
 def test_latest_schedule_rejects_degenerate_arguments():

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from tropspan import (BoxFamily, Matrix, NotIrreducible, NotRegular, NotSquare,
-                      ShapeMismatch, ZeroRightHandSide, family_contains, max_plus,
+                      ShapeMismatch, ZeroRightHandSide, max_plus,
                       solve_scalar_equation, solve_subeigen)
 from support import (SS_STAR, START_START, col, mp, random_feasible_constraint,
                      random_regular_column, raw_satisfies_constraint)
@@ -138,15 +138,15 @@ def test_subeigen_grid_completeness(seed):
 
 def test_family_membership_pinned_and_scaled():
     family = BoxFamily(max_plus, 0, 0, (0, -1, -3))
-    assert family_contains(family, col([0, -1, -3]))
-    assert family_contains(family, (0, -5, -3))
-    assert not family_contains(family, (0, 0, -3))
-    assert not family_contains(family, (1, -1, -3))
-    assert family_contains(family, (10, 9, 7), allow_scaling=True)
-    assert not family_contains(family, (10, 10, 7), allow_scaling=True)
-    assert not family_contains(family, (float("-inf"), -1, -3), allow_scaling=True)
+    assert family.contains(col([0, -1, -3]))
+    assert family.contains((0, -5, -3))
+    assert not family.contains((0, 0, -3))
+    assert not family.contains((1, -1, -3))
+    assert family.contains((10, 9, 7), allow_scaling=True)
+    assert not family.contains((10, 10, 7), allow_scaling=True)
+    assert not family.contains((float("-inf"), -1, -3), allow_scaling=True)
     with pytest.raises(ShapeMismatch):
-        family_contains(family, (0, -1))
+        family.contains((0, -1))
 
 
 def test_family_validation_and_helpers():
