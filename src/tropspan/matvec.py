@@ -7,8 +7,10 @@ values are immutable and every operation returns a fresh matrix, so
 concurrent use needs no locking.
 
 Products use the textbook triple loop and powers use repeated
-multiplication.  The trace closure therefore costs O(n^4), which is
-accepted: exactness matters more than speed at the intended sizes.
+multiplication.  The star closure `asterate` is one O(n^3)
+Floyd–Warshall pass that also decides feasibility.  `tr_closure`, the
+paper's feasibility indicator, sums n powers in O(n^4); no solver
+calls it.
 """
 
 from __future__ import annotations
@@ -296,6 +298,7 @@ def tr_closure(a: Matrix) -> Scalar:
 
     The result is ≤ 𝟙 exactly when every cycle of the weighted digraph
     of `a` has weight ≤ 𝟙, which decides solvability of a ⊗ x ≤ x.
+    This is the paper's indicator; `asterate` decides the same in O(n^3).
     """
     if a.rows != a.cols:
         raise NotSquare("the trace closure is defined for square matrices")
@@ -311,22 +314,31 @@ def tr_closure(a: Matrix) -> Scalar:
 def asterate(a: Matrix) -> Matrix:
     """Star closure I ⊕ a ⊕ ... ⊕ aⁿ⁻¹ of an n×n matrix.
 
-    Requires tr_closure(a) ≤ 𝟙; beyond that threshold the series has
-    no finite value and `TrConditionViolated` is raised.
+    One Floyd–Warshall pass (Butkovič, Max-linear Systems, 2010, §1.6).
+    Pivot k sees every cycle whose highest node is k on the diagonal, so
+    a cycle heavier than 𝟙, where the series has no finite value, raises
+    `TrConditionViolated` naming k and the weight of its closed walk.
+    Otherwise the result is I ⊕ a⁺, equal to the series because a
+    heaviest walk need not repeat a node.
     """
     if a.rows != a.cols:
         raise NotSquare("the asterate is defined for square matrices")
     sf = a.sf
-    t = tr_closure(a)
-    if not sf.leq(t, sf.one):
-        raise TrConditionViolated(
-            f"trace closure {_fmt(t)} exceeds the unit {_fmt(sf.one)}")
-    acc = Matrix.identity(sf, a.rows)
-    power = acc
-    for _ in range(a.rows - 1):
-        power = power @ a
-        acc = acc + power
-    return acc
+    add, mul, zero, one = sf.add, sf.mul, sf.zero, sf.one
+    c = [list(r) for r in a.data]
+    for k, ck in enumerate(c):
+        if not sf.leq(ck[k], one):
+            raise TrConditionViolated(
+                f"the closed walk through index {k + 1} has weight "
+                f"{_fmt(ck[k])}, which exceeds the unit {_fmt(one)}")
+        for i, ci in enumerate(c):
+            cik = ci[k]
+            # row k cannot grow, as c[k][k] ≤ 𝟙; 𝟘 ⊗ anything is 𝟘, neutral for ⊕
+            if i != k and cik != zero:
+                c[i] = [add(x, mul(cik, y)) for x, y in zip(ci, ck)]
+    for i, ci in enumerate(c):
+        ci[i] = add(one, ci[i])
+    return Matrix._wrap(sf, tuple(map(tuple, c)))
 
 
 def is_irreducible(a: Matrix) -> bool:

@@ -29,6 +29,7 @@ integers under max, min and +, and dyadic floats stay dyadic under
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable
 
 from .errors import InversionOfZero
@@ -38,8 +39,12 @@ Scalar = int | float
 
 def _is_number(a: object) -> bool:
     # bool is an int subclass but makes no sense as a carrier element;
-    # a == a rejects NaN without converting ints, which may exceed the float range
-    return isinstance(a, (int, float)) and not isinstance(a, bool) and a == a
+    # a == a rejects NaN.  An int beyond the float range is refused: adding
+    # it to an infinite zero converts it to float and raises OverflowError.
+    if isinstance(a, float):
+        return a == a
+    return (isinstance(a, int) and not isinstance(a, bool)
+            and -sys.float_info.max <= a <= sys.float_info.max)
 
 
 class Semifield:

@@ -8,7 +8,8 @@ the package's semifield operations.
 
 import random
 
-from tropspan import Matrix, ProblemInstance, max_plus, max_times
+from tropspan import (Matrix, ProblemInstance, TrConditionViolated, max_plus,
+                      max_times, tr_closure)
 
 NEG_INF = float("-inf")
 
@@ -147,6 +148,27 @@ def rng_feasible_constraint(rng: random.Random, sf, max_n=4):
         w = sub_unit(sf, rng.randint(0, 6))
         rows[i][j] = sf.mul(w, sf.mul(pot[i], sf.inv(pot[j])))
     return Matrix(sf, rows)
+
+
+# ----------------------------------------------------------------------
+# reference star closure
+
+def power_series_asterate(c: Matrix) -> Matrix:
+    """Star closure by its definition, I ⊕ c ⊕ ... ⊕ cⁿ⁻¹, in O(n^4).
+
+    Raises `TrConditionViolated` when tr_closure(c) exceeds the unit,
+    where the series has no finite value.
+    """
+    sf = c.sf
+    t = tr_closure(c)
+    if not sf.leq(t, sf.one):
+        raise TrConditionViolated(f"trace closure {t} exceeds the unit {sf.one}")
+    acc = Matrix.identity(sf, c.rows)
+    power = acc
+    for _ in range(c.rows - 1):
+        power = power @ c
+        acc = acc + power
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,8 @@ def test_infeasible_project_exits_2():
     doc = json.loads(proc.stdout)
     assert doc["status"] == "infeasible"
     assert doc["delta"] is None
-    assert "infeasible" in proc.stderr
+    assert proc.stderr == ("infeasible: the closed walk through index 1 has weight 1, "
+                           "which exceeds the unit 0\n")
 
 
 def test_reducible_constraint_exits_3():

@@ -1,14 +1,17 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropspan import (Matrix, NotSquare, ShapeMismatch, TrConditionViolated,
+from tropspan import (INSTANCES, Matrix, NotSquare, ShapeMismatch, TrConditionViolated,
                       ZeroEntry, asterate, is_irreducible, is_regular, max_plus,
                       max_times, min_plus, ones, tr_closure, vector)
 from support import (COMBINED, COMBINED_CONJ, COMBINED_TIMES_CONJ, NEG_INF,
                      SF_TIMES_CONJ, SS_SQUARED, SS_STAR, START_FINISH,
-                     START_FINISH_CONJ, START_START, col, mp, rng_irreducible)
+                     START_FINISH_CONJ, START_START, col, mp, power_series_asterate,
+                     rng_feasible_constraint, rng_finite, rng_irreducible, sub_unit)
 
 
 def vectors(dim):
@@ -33,6 +36,17 @@ def test_constructor_validates_entries():
         Matrix(max_plus, [[True]])
     with pytest.raises(ValueError):
         Matrix(max_times, [[-1]])
+
+
+def test_constructor_refuses_ints_beyond_the_float_range():
+    big = 10 ** 400   # any product with the zero -inf would raise OverflowError
+    for sf in INSTANCES:
+        with pytest.raises(ValueError, match="carrier element"):
+            Matrix(sf, [[big]])
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        Matrix(max_plus, [[None, 1], [-big, None]])
+    largest = int(sys.float_info.max)
+    assert Matrix(max_plus, [[largest]]) @ Matrix(max_plus, [[None]]) == mp([[None]])
 
 
 def test_none_means_zero_and_minus_zero_is_canonical():
@@ -194,6 +208,76 @@ def test_asterate():
         asterate(mp([[1]]))
     with pytest.raises(NotSquare):
         asterate(mp([[1, 2]]))
+
+
+def _closure_or_verdict(closure, c):
+    try:
+        return closure(c).data
+    except TrConditionViolated:
+        return "infeasible"
+
+
+def _heavy(rng, sf):
+    """A carrier element 1 to 20 steps above the unit."""
+    return sf.inv(sub_unit(sf, rng.randint(1, 20)))
+
+
+def _differential_cases():
+    rng = random.Random(2024)
+    for sf in INSTANCES:
+        yield sf.name + " all-zero", Matrix.zeros(sf, 4, 4)
+        for t in range(5):
+            c = rng_feasible_constraint(rng, sf, max_n=30)
+            yield f"{sf.name} feasible {t}", c
+            rows = c.to_lists()
+            i, j = rng.randrange(c.rows), rng.randrange(c.rows)
+            rows[i][j] = _heavy(rng, sf)
+            yield f"{sf.name} heavy arc ({i}, {j}) {t}", Matrix(sf, rows)
+            rows = c.to_lists()
+            rows[i][i] = _heavy(rng, sf)
+            yield f"{sf.name} heavy self-loop {i} {t}", Matrix(sf, rows)
+            # sparse: most arcs removed, so the digraph is usually reducible
+            rows = [[v if rng.random() < 0.15 else sf.zero for v in r]
+                    for r in c.to_lists()]
+            yield f"{sf.name} sparse {t}", Matrix(sf, rows)
+            # reducible: two feasible diagonal blocks, arbitrary arcs one way only
+            upper, lower = (rng_feasible_constraint(rng, sf, max_n=15).to_lists()
+                            for _ in range(2))
+            m, n = len(upper), len(lower)
+            rows = ([r + [sf.zero] * n for r in upper]
+                    + [[rng_finite(rng, sf) for _ in range(m)] + r for r in lower])
+            yield f"{sf.name} reducible {t}", Matrix(sf, rows)
+    yield "paper ss", mp(START_START)
+
+
+def test_asterate_matches_power_series():
+    verdicts = Counter()
+    for name, c in _differential_cases():
+        expected = _closure_or_verdict(power_series_asterate, c)
+        assert _closure_or_verdict(asterate, c) == expected, name
+        verdicts[expected == "infeasible"] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 50   # both verdicts well covered
+
+
+def test_asterate_does_at_most_n_cubed_products():
+    n = 40
+    rng = random.Random(3)
+    pot = [rng.randint(-5, 5) for _ in range(n)]
+    c = mp([[rng.randint(-6, 0) + pot[i] - pot[j] for j in range(n)] for i in range(n)])
+    counts = Counter()
+    mul = max_plus.mul
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    max_plus.mul = counted_mul
+    try:
+        closure = asterate(c)
+    finally:
+        del max_plus.mul
+    assert 0 < counts["mul"] <= n ** 3   # the power series needs about 2n^4
+    assert Matrix.identity(max_plus, n).leq(closure)
 
 
 def test_asterate_dominates_identity():
