@@ -10,7 +10,7 @@ The input file is a json document {"n": ..., "start_finish": [[...]],
 use null where no lag is defined.  Results go to stdout as json
 (default) or text, diagnostics to stderr.  Exit status: 0 solved, 2
 infeasible constraints, 3 input violating a solver precondition, 4
-unparseable input.
+unparseable input or numbers too large to compute with.
 """
 
 from __future__ import annotations
@@ -110,6 +110,27 @@ def _load_project(path: str) -> Project:
     return Project(n=n, start_finish=start_finish, start_start=start_start)
 
 
+def _require_in_range(project: Project, alpha, path: str) -> None:
+    """Refuse numbers whose sums could leave the float range.
+
+    Every value the solvers compute (C*, A ⊗ C*, delta, the bounds and
+    the schedules) is a sum of at most 2n entries plus alpha, so
+    2n·max|entry| + |alpha| within the largest float keeps every exact
+    value finite.
+    """
+    zero = max_plus.zero
+    largest = max((abs(v) for m in (project.start_finish, project.start_start)
+                   if m is not None for row in m.data for v in row if v != zero),
+                  default=0)
+    limit = sys.float_info.max
+    # compared as 2n·largest > limit - |alpha|: a sum of an int beyond the
+    # float range and a float would raise OverflowError
+    if 2 * project.n * largest > limit - abs(alpha):
+        raise _ParseFailure(
+            f"{path}: numbers too large to compute with: 2n·max|entry| + |alpha| "
+            f"must not exceed {limit!r}")
+
+
 def _parse_matrix(raw: dict, key: str, n: int, path: str,
                   allow_null: bool) -> Matrix | None:
     rows = raw.get(key)
@@ -172,18 +193,29 @@ def _dispatch(command: str, project: Project):
 
 
 def _document(report, closure, completion_matrix, alpha, latest) -> dict:
-    families = [fam.scaled(alpha) for fam in report.families]
+    if max_plus.is_zero(alpha):
+        raise ValueError("scaling by the semifield zero collapses the box")
+    mul = max_plus.mul
+    # families that share a bounds tuple share its shifted, printable list
+    shifted: dict[int, list] = {}
+    families = []
+    for fam in report.families:
+        bounds = shifted.get(id(fam.upper_bounds))
+        if bounds is None:
+            bounds = shifted[id(fam.upper_bounds)] = [
+                _plain(mul(alpha, b)) for b in fam.upper_bounds]
+        pinned = bounds[fam.pinned_index]
+        if _plain(mul(alpha, fam.pinned_value)) != pinned:
+            raise ValueError("the bound at the pinned component must equal the pinned value")
+        families.append({"pinned_index": fam.pinned_index + 1, "pinned_value": pinned,
+                         "upper_bounds": bounds})
     schedules = (latest_schedule(report, closure, completion_matrix, alpha)
                  if latest else [])
     doc = {
         "status": "ok",
         "delta": _plain(report.delta),
         "pairs": [{"k": k + 1, "s": s + 1} for k, s in report.pairs],
-        "families": [{
-            "pinned_index": fam.pinned_index + 1,
-            "pinned_value": _plain(fam.pinned_value),
-            "upper_bounds": [_plain(b) for b in fam.upper_bounds],
-        } for fam in families],
+        "families": families,
         "schedules": [],
     }
     for sched in schedules:
@@ -199,9 +231,46 @@ def _status_document(status: str) -> dict:
     return {"status": status, "delta": None, "pairs": [], "families": [], "schedules": []}
 
 
+def _json_text(doc: dict) -> str:
+    """The text of json.dumps(doc, indent=2), writing each list object once.
+
+    The families of one row share one bounds list, so the memo, keyed by
+    the list and its depth, writes each row's bounds once.  The numbers
+    are finite ints and floats, whose repr is their json form; strings
+    and None go through json.dumps.
+    """
+    memo: dict[tuple[int, str], str] = {}
+    keys: dict[str, str] = {}
+
+    def quoted(k: str) -> str:
+        text = keys.get(k)
+        if text is None:
+            text = keys[k] = json.dumps(k) + ": "
+        return text
+
+    def write(node, indent: str) -> str:
+        kind = type(node)
+        if kind is int or kind is float:
+            return repr(node)
+        inner = indent + "  "
+        if kind is list:
+            slot = (id(node), indent)
+            text = memo.get(slot)
+            if text is None:
+                items = (",\n" + inner).join(write(v, inner) for v in node)
+                text = memo[slot] = (f"[\n{inner}{items}\n{indent}]" if node else "[]")
+            return text
+        if kind is dict:
+            items = (",\n" + inner).join(quoted(k) + write(v, inner) for k, v in node.items())
+            return f"{{\n{inner}{items}\n{indent}}}" if node else "{}"
+        return json.dumps(node)
+
+    return write(doc, "")
+
+
 def _render(doc: dict, fmt: str, u_space: bool) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_text(doc) + "\n"
     lines = [f"status: {doc['status']}"]
     if doc["status"] == "ok":
         var = "u" if u_space else "x"
@@ -230,6 +299,7 @@ def main(argv=None) -> int:
 
     try:
         project = _load_project(args.input)
+        _require_in_range(project, args.alpha, args.input)
         report, closure, completion_matrix = _dispatch(args.command, project)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

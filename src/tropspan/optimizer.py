@@ -138,7 +138,9 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     running over columns.  Every column k attaining delta yields
     maximizers: pin x[k] = aₖ⁻ ⊗ p and, for every row s attaining
     aₖ⁻ ⊗ p = ⊕ᵢ aᵢₖ⁻¹ ⊗ pᵢ, bound x[j] ≤ aₛⱼ⁻¹ ⊗ pₛ.  All tied k and
-    s are enumerated, one family per pair.
+    s are enumerated, one family per pair.  The bounds depend only on
+    s, so they are computed once per row and the families of one row
+    share one tuple.
     """
     sf = inst.sf
     mul, inv = sf.mul, sf.inv
@@ -158,6 +160,7 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
 
     pairs: list[tuple[int, int]] = []
     families: list[BoxFamily] = []
+    row_bounds: dict[int, tuple[Scalar, ...]] = {}
     for k in range(n):
         if terms[k] != delta:
             continue
@@ -166,7 +169,9 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
         for s in range(m):
             if row_terms[s] != pinned:
                 continue
-            bounds = tuple(mul(inv(a[s][j]), p[s]) for j in range(n))
+            bounds = row_bounds.get(s)
+            if bounds is None:
+                bounds = row_bounds[s] = tuple(mul(inv(a[s][j]), p[s]) for j in range(n))
             pairs.append((k, s))
             families.append(BoxFamily(sf, k, pinned, bounds))
     return SolutionReport(delta, tuple(pairs), tuple(families))

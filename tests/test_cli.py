@@ -1,12 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE,
-                          dump_project, main)
+from tropspan import Matrix, max_plus
+from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
+                          _document, _json_text, _status_document, dump_project, main)
+from tropspan.scheduling import Project
+from support import random_feasible_constraint
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -16,6 +20,8 @@ GOLDEN_RUNS = [
     ("ex1", ["sf", "--input", str(DATA / "ex1.json"), "--latest"]),
     ("ex2", ["ss", "--input", str(DATA / "ex2.json"), "--latest"]),
     ("ex3", ["combined", "--input", str(DATA / "ex3.json"), "--latest"]),
+    # 36 families of an all-tied 6x6 project; the six of each row share their bounds
+    ("tied", ["sf", "--input", str(DATA / "tied.json"), "--latest", "--alpha", "2"]),
 ]
 
 
@@ -97,21 +103,39 @@ def test_missing_file_and_bad_usage_exit_4(capsys):
     assert "alpha must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content,message", [
-    (b"[" * 100_000 + b"]" * 100_000, "not valid json"),
-    (b'{"n": 1, "start_finish": [[\xff]]}', "not valid text"),
-    (b'{"n": 1, "start_finish": [[' + b"1" * 5000 + b"]]}", "not valid json"),
-    (b'{"n": 1, "start_finish": [[' + BEYOND_FLOAT.encode() + b"]]}", "finite"),
-    (b'{"n": 1, "start_start": [[' + BEYOND_FLOAT.encode() + b"]]}", "finite"),
+BIG_LAG = str(-10 ** 308)   # in the float range, but a path of three such lags is not
+CYCLE_OF_4 = (f"[[null, {BIG_LAG}, null, null], [null, null, {BIG_LAG}, null], "
+              f"[null, null, null, {BIG_LAG}], [{BIG_LAG}, null, null, null]]")
+
+
+@pytest.mark.parametrize("command,content,message", [
+    ("sf", b"[" * 100_000 + b"]" * 100_000, "not valid json"),
+    ("sf", b'{"n": 1, "start_finish": [[\xff]]}', "not valid text"),
+    ("sf", b'{"n": 1, "start_finish": [[' + b"1" * 5000 + b"]]}", "not valid json"),
+    ("sf", b'{"n": 1, "start_finish": [[' + BEYOND_FLOAT.encode() + b"]]}", "finite"),
+    ("sf", b'{"n": 1, "start_start": [[' + BEYOND_FLOAT.encode() + b"]]}", "finite"),
+    ("ss", b'{"n": 4, "start_start": ' + CYCLE_OF_4.encode() + b"}", "too large"),
+    ("sf", b'{"n": 2, "start_finish": [[1e308, 0], [-1e308, 0]]}', "too large"),
 ], ids=["deep-nesting", "not-utf8", "over-int-digit-limit", "start-finish-beyond-float",
-        "start-start-beyond-float"])
-def test_unparseable_files_exit_4(tmp_path, content, message, capsys):
+        "start-start-beyond-float", "closure-path-beyond-float", "delta-beyond-float"])
+def test_unparseable_files_exit_4(tmp_path, command, content, message, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    assert main(["sf", "--input", str(path)]) == EXIT_PARSE
+    assert main([command, "--input", str(path)]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert json.loads(captured.out)["status"] == "invalid_input"
     assert message in captured.err
+
+
+def test_alpha_counts_towards_the_range_limit(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "start_finish": [[1e307]]}')
+    assert main(["sf", "--input", str(path), "--alpha", "1e308"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["families"][0]["pinned_value"] == 1e308 - 1e307
+    assert main(["sf", "--input", str(path), "--alpha", "1.7e308"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "invalid_input"
+    assert "too large" in captured.err
 
 
 def test_alpha_shifts_families_and_schedules(capsys):
@@ -146,9 +170,65 @@ def test_text_format(capsys):
     assert capsys.readouterr().out == "status: infeasible\n"
 
 
+def _random_entry(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-20, 20)
+    if kind == 1:
+        return rng.randint(-40, 40) / 4             # exact halves and quarters
+    return round(rng.uniform(-20, 20), rng.randint(1, 12))
+
+
+def _random_start_finish(rng, n):
+    return Matrix(max_plus, [[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+def _random_project(rng, command):
+    if command == "sf":
+        n = rng.randint(1, 7)
+        return Project(n, start_finish=_random_start_finish(rng, n))
+    c = random_feasible_constraint(rng, max_n=7)
+    # halving keeps every cycle weight exactly <= 0 and gives non-integer lags
+    c = Matrix(max_plus, [[v / 2 for v in row] for row in c.data])
+    if command == "ss":
+        return Project(c.rows, start_start=c)
+    return Project(c.rows, start_finish=_random_start_finish(rng, c.rows), start_start=c)
+
+
+def _documents():
+    rng = random.Random(11)
+    for command in ("sf", "ss", "combined"):
+        for _ in range(25):
+            report, closure, completion = _dispatch(command, _random_project(rng, command))
+            for alpha in (0, 7):
+                for latest in (False, True):
+                    yield _document(report, closure, completion, alpha, latest)
+    for status in ("infeasible", "invalid_input"):
+        yield _status_document(status)
+    tied = Matrix(max_plus, [[0] * 8 for _ in range(8)])
+    shared = _document(*_dispatch("sf", Project(8, start_finish=tied)), 3, True)
+    assert len(shared["families"]) == 64
+    # pairs run over k, then s: family i has row s = i mod 8
+    bounds = shared["families"][0]["upper_bounds"]
+    assert all(fam["upper_bounds"] is shared["families"][i % 8]["upper_bounds"]
+               for i, fam in enumerate(shared["families"]))
+    yield shared
+    # one list object at three depths: the writer's memo must tell them apart
+    yield {"bounds": bounds, "nested": [bounds, {"deeper": [bounds]}],
+           "families": shared["families"], "empty": [], "none": {}}
+
+
+def test_json_writer_matches_json_dumps():
+    count = 0
+    for doc in _documents():
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+        count += 1
+    assert count == 3 * 25 * 4 + 2 + 2
+
+
 def test_round_trip_preserves_values_exactly():
     from tropspan.cli import _load_project
-    for name in ("ex1", "ex2", "ex3"):
+    for name in ("ex1", "ex2", "ex3", "tied"):
         path = DATA / f"{name}.json"
         original = json.loads(path.read_text())
         assert dump_project(_load_project(str(path))) == original
@@ -162,7 +242,7 @@ def test_integer_values_serialize_without_decimal_point():
             return all(only_ints(v) for v in node)
         return not isinstance(node, float)
 
-    for name in ("ex1", "ex2", "ex3"):
+    for name in ("ex1", "ex2", "ex3", "tied"):
         text = (GOLDEN / f"{name}.json").read_text()
         assert "." not in text
         assert only_ints(json.loads(text))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -117,6 +118,31 @@ def test_norm_form_equals_unconstrained_with_unit_weights():
     assert solve_norm_form(a, a).delta == (a @ a.conj()).norm()
     assert solve_norm_form(mp(COMBINED), mp(COMBINED)).delta == 2
     assert solve_norm_form(mp([[7]]), mp([[7]])).delta == 0
+
+
+def test_families_of_one_row_share_one_bounds_tuple():
+    n = 40
+    a = mp([[0] * n for _ in range(n)])
+    counts = Counter()
+    mul = max_plus.mul
+
+    def counted_mul(x, y):
+        counts["mul"] += 1
+        return mul(x, y)
+
+    max_plus.mul = counted_mul
+    try:
+        report = solve_norm_form(a, a)
+    finally:
+        del max_plus.mul
+    assert len(report.families) == n * n
+    # 3n² + n products find delta and the tied pairs, n² more the n rows' bounds
+    assert 0 < counts["mul"] <= 5 * n * n
+    by_row = {}
+    for (k, s), fam in zip(report.pairs, report.families):
+        assert fam.upper_bounds is by_row.setdefault(s, fam.upper_bounds)
+    assert len(by_row) == n
+    assert all(bounds == (0,) * n for bounds in by_row.values())
 
 
 # ----------------------------------------------------------------------
