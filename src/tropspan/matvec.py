@@ -6,11 +6,12 @@ matrices, and conjugation turns them into single-row matrices.  All
 values are immutable and every operation returns a fresh matrix, so
 concurrent use needs no locking.
 
-Products use the textbook triple loop and powers use repeated
-multiplication.  The star closure `asterate` is one O(n^3)
-Floyd–Warshall pass that also decides feasibility.  `tr_closure`, the
-paper's feasibility indicator, sums n powers in O(n^4); no solver
-calls it.
+A product makes one `Semifield.dot` call per output entry, and powers
+use repeated multiplication.  The star closure `asterate` is one O(n^3)
+Floyd–Warshall pass that also decides feasibility; it updates a whole
+row at a time with `Semifield.add_scaled`.  Both vector operations run
+on builtins for `max_plus`.  `tr_closure`, the paper's feasibility
+indicator, sums n powers in O(n^4); no solver calls it.
 """
 
 from __future__ import annotations
@@ -171,19 +172,10 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply a {self.rows}x{self.cols} matrix "
                 f"by a {other.rows}x{other.cols} matrix")
-        sf = self.sf
-        add, mul, zero = sf.add, sf.mul, sf.zero
+        dot = self.sf.dot
         bt = tuple(zip(*other.data))
-        out = []
-        for arow in self.data:
-            line = []
-            for bcol in bt:
-                acc = zero
-                for a, b in zip(arow, bcol):
-                    acc = add(acc, mul(a, b))
-                line.append(acc)
-            out.append(tuple(line))
-        return Matrix._wrap(sf, tuple(out))
+        return Matrix._wrap(self.sf, tuple(
+            tuple([dot(arow, bcol) for bcol in bt]) for arow in self.data))
 
     def __pow__(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -324,7 +316,7 @@ def asterate(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise NotSquare("the asterate is defined for square matrices")
     sf = a.sf
-    add, mul, zero, one = sf.add, sf.mul, sf.zero, sf.one
+    add, add_scaled, zero, one = sf.add, sf.add_scaled, sf.zero, sf.one
     c = [list(r) for r in a.data]
     for k, ck in enumerate(c):
         if not sf.leq(ck[k], one):
@@ -335,7 +327,7 @@ def asterate(a: Matrix) -> Matrix:
             cik = ci[k]
             # row k cannot grow, as c[k][k] ≤ 𝟙; 𝟘 ⊗ anything is 𝟘, neutral for ⊕
             if i != k and cik != zero:
-                c[i] = [add(x, mul(cik, y)) for x, y in zip(ci, ck)]
+                c[i] = add_scaled(ci, cik, ck)
     for i, ci in enumerate(c):
         ci[i] = add(one, ci[i])
     return Matrix._wrap(sf, tuple(map(tuple, c)))

@@ -143,18 +143,15 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     share one tuple.
     """
     sf = inst.sf
-    mul, inv = sf.mul, sf.inv
-    a = inst.A.data
-    b = inst.B.data
+    mul, inv, dot = sf.mul, sf.inv, sf.dot
     p = inst.p.entries()
     q = inst.q.entries()
     n, m = inst.n, inst.m
 
     q_inv = tuple(inv(v) for v in q)
-    col_left = [sf.sum(mul(qi, row[j]) for qi, row in zip(q_inv, b))
-                for j in range(n)]                      # q⁻ ⊗ b_j
-    col_right = [sf.sum(mul(inv(a[i][j]), p[i]) for i in range(m))
-                 for j in range(n)]                     # a_j⁻ ⊗ p
+    a_inv = [tuple(inv(v) for v in col) for col in zip(*inst.A.data)]  # a_j⁻
+    col_left = [dot(q_inv, col) for col in zip(*inst.B.data)]           # q⁻ ⊗ b_j
+    col_right = [dot(col, p) for col in a_inv]                          # a_j⁻ ⊗ p
     terms = [mul(lft, rgt) for lft, rgt in zip(col_left, col_right)]
     delta = sf.sum(terms)
 
@@ -165,13 +162,13 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
         if terms[k] != delta:
             continue
         pinned = col_right[k]
-        row_terms = [mul(inv(a[i][k]), p[i]) for i in range(m)]
+        row_terms = [mul(v, pi) for v, pi in zip(a_inv[k], p)]
         for s in range(m):
             if row_terms[s] != pinned:
                 continue
             bounds = row_bounds.get(s)
             if bounds is None:
-                bounds = row_bounds[s] = tuple(mul(inv(a[s][j]), p[s]) for j in range(n))
+                bounds = row_bounds[s] = tuple(mul(col[s], p[s]) for col in a_inv)
             pairs.append((k, s))
             families.append(BoxFamily(sf, k, pinned, bounds))
     return SolutionReport(delta, tuple(pairs), tuple(families))

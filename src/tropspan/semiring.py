@@ -21,6 +21,19 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
+Besides the scalar operations, every semifield has two vector
+operations, the inner loops of matrix products and closures:
+
+    dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
+    add_scaled(x, s, y)   the list of xⱼ ⊕ s ⊗ yⱼ
+
+Their generic default is a plain loop over `add` and `mul`.  `max_plus`
+overrides both with builtins (`max` over `operator.add`, and one
+comparison per entry), which gives the same values.  In both, as in
+`add`, the left operand wins a tie: the earlier term of a dot product,
+and xⱼ over s ⊗ yⱼ.  Ties matter because an int and an equal float
+(2**60 and 2.0**60) compare equal but print differently.
+
 Arithmetic is exact whenever the inputs are exact: integers stay
 integers under max, min and +, and dyadic floats stay dyadic under
 · and 1/x.  Equality everywhere is plain ``==`` with no tolerance.
@@ -29,8 +42,9 @@ integers under max, min and +, and dyadic floats stay dyadic under
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InversionOfZero
 
@@ -87,6 +101,20 @@ class Semifield:
             acc = self.add(acc, v)
         return acc
 
+    def dot(self, r: Sequence[Scalar], c: Sequence[Scalar]) -> Scalar:
+        """⊕ of the products rⱼ ⊗ cⱼ of two nonempty vectors of one length."""
+        add, mul = self.add, self.mul
+        acc = self.zero
+        for a, b in zip(r, c):
+            acc = add(acc, mul(a, b))
+        return acc
+
+    def add_scaled(self, x: Sequence[Scalar], s: Scalar,
+                   y: Sequence[Scalar]) -> list[Scalar]:
+        """The list of xⱼ ⊕ s ⊗ yⱼ for two vectors of one length."""
+        add, mul = self.add, self.mul
+        return [add(a, mul(s, b)) for a, b in zip(x, y)]
+
     def __repr__(self) -> str:
         return f"<{self.name} semifield>"
 
@@ -106,6 +134,13 @@ class _MaxPlus(Semifield):
         if a == self.zero:
             raise InversionOfZero("the max-plus zero (-inf) has no inverse")
         return -a
+
+    # max returns the first of equal maxima, and a >= t keeps a on a tie
+    def dot(self, r, c):
+        return max(map(operator.add, r, c))
+
+    def add_scaled(self, x, s, y):
+        return [a if a >= (t := s + b) else t for a, b in zip(x, y)]
 
     def contains(self, a):
         return _is_number(a) and a < math.inf

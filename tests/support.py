@@ -1,15 +1,19 @@
 """Shared test data and generators.
 
 Holds the 3-activity example project used throughout the suite, random
-instance builders whose preconditions hold by construction, and raw
-max/+ evaluators that give the tests an arithmetic path independent of
-the package's semifield operations.
+instance builders whose preconditions hold by construction, a max-plus
+instance on the generic vector loops with a ⊗ counter for `max_plus`,
+and raw max/+ evaluators that give the tests an arithmetic path
+independent of the package's semifield operations.
 """
 
+import contextlib
 import random
+from collections import Counter
 
-from tropspan import (Matrix, ProblemInstance, TrConditionViolated, max_plus,
-                      max_times, tr_closure)
+from tropspan import (Matrix, ProblemInstance, Semifield, TrConditionViolated,
+                      max_plus, max_times, tr_closure)
+from tropspan.semiring import _MaxPlus
 
 NEG_INF = float("-inf")
 
@@ -169,6 +173,53 @@ def power_series_asterate(c: Matrix) -> Matrix:
         power = power @ c
         acc = acc + power
     return acc
+
+
+# ----------------------------------------------------------------------
+# the max-plus vector kernels: a generic reference and a product count
+
+class _GenericMaxPlus(_MaxPlus):
+    """Max-plus with the generic loops of `Semifield` in place of its kernels."""
+
+    name = "generic max-plus"
+    dot = Semifield.dot
+    add_scaled = Semifield.add_scaled
+
+
+generic_max_plus = _GenericMaxPlus()
+
+
+@contextlib.contextmanager
+def counted_products():
+    """Count the ⊗ that `max_plus` makes inside the block.
+
+    Shadows `mul`, `dot` and `add_scaled` on the instance and removes the
+    shadows on exit.  A kernel call counts one ⊗ per vector entry, as its
+    generic loop would make.  Yields a Counter: "mul" is the total and
+    "dot" the number of `dot` calls.
+    """
+    counts = Counter()
+    mul, dot, add_scaled = max_plus.mul, max_plus.dot, max_plus.add_scaled
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_dot(r, c):
+        counts["dot"] += 1
+        counts["mul"] += len(r)
+        return dot(r, c)
+
+    def counted_add_scaled(x, s, y):
+        counts["mul"] += len(y)
+        return add_scaled(x, s, y)
+
+    max_plus.mul, max_plus.dot, max_plus.add_scaled = (
+        counted_mul, counted_dot, counted_add_scaled)
+    try:
+        yield counts
+    finally:
+        del max_plus.mul, max_plus.dot, max_plus.add_scaled
 
 
 # ----------------------------------------------------------------------

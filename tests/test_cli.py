@@ -22,6 +22,8 @@ GOLDEN_RUNS = [
     ("ex3", ["combined", "--input", str(DATA / "ex3.json"), "--latest"]),
     # 36 families of an all-tied 6x6 project; the six of each row share their bounds
     ("tied", ["sf", "--input", str(DATA / "tied.json"), "--latest", "--alpha", "2"]),
+    # a dense feasible 24x24 project: the closure and the products do real work
+    ("dense", ["combined", "--input", str(DATA / "dense.json"), "--latest", "--alpha", "3"]),
 ]
 
 
@@ -228,7 +230,7 @@ def test_json_writer_matches_json_dumps():
 
 def test_round_trip_preserves_values_exactly():
     from tropspan.cli import _load_project
-    for name in ("ex1", "ex2", "ex3", "tied"):
+    for name in ("ex1", "ex2", "ex3", "tied", "dense"):
         path = DATA / f"{name}.json"
         original = json.loads(path.read_text())
         assert dump_project(_load_project(str(path))) == original
@@ -242,7 +244,7 @@ def test_integer_values_serialize_without_decimal_point():
             return all(only_ints(v) for v in node)
         return not isinstance(node, float)
 
-    for name in ("ex1", "ex2", "ex3", "tied"):
+    for name in ("ex1", "ex2", "ex3", "tied", "dense"):
         text = (GOLDEN / f"{name}.json").read_text()
         assert "." not in text
         assert only_ints(json.loads(text))

@@ -10,7 +10,8 @@ from tropspan import (INSTANCES, Matrix, NotSquare, ShapeMismatch, TrConditionVi
                       max_times, min_plus, ones, tr_closure, vector)
 from support import (COMBINED, COMBINED_CONJ, COMBINED_TIMES_CONJ, NEG_INF,
                      SF_TIMES_CONJ, SS_SQUARED, SS_STAR, START_FINISH,
-                     START_FINISH_CONJ, START_START, col, mp, power_series_asterate,
+                     START_FINISH_CONJ, START_START, col, counted_products,
+                     generic_max_plus, mp, power_series_asterate,
                      rng_feasible_constraint, rng_finite, rng_irreducible, sub_unit)
 
 
@@ -264,20 +265,69 @@ def test_asterate_does_at_most_n_cubed_products():
     rng = random.Random(3)
     pot = [rng.randint(-5, 5) for _ in range(n)]
     c = mp([[rng.randint(-6, 0) + pot[i] - pot[j] for j in range(n)] for i in range(n)])
-    counts = Counter()
-    mul = max_plus.mul
-
-    def counted_mul(a, b):
-        counts["mul"] += 1
-        return mul(a, b)
-
-    max_plus.mul = counted_mul
-    try:
+    with counted_products() as counts:
         closure = asterate(c)
-    finally:
-        del max_plus.mul
     assert 0 < counts["mul"] <= n ** 3   # the power series needs about 2n^4
     assert Matrix.identity(max_plus, n).leq(closure)
+
+
+def test_product_makes_one_dot_call_per_entry():
+    n = 12
+    rng = random.Random(5)
+    a, b = (mp([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            for _ in range(2))
+    with counted_products() as counts:
+        a @ b
+    assert counts["dot"] == n * n and counts["mul"] == n ** 3
+
+
+def _typed(m):
+    """Entries with their types: an int and an equal float tie but print differently."""
+    return [[(v, type(v)) for v in r] for r in m.data]
+
+
+def _typed_star(c):
+    """The typed entries of asterate(c), or the text of its refusal."""
+    try:
+        return _typed(asterate(c))
+    except TrConditionViolated as exc:
+        return str(exc)
+
+
+def _mixed(rng, v):
+    return rng.choice((v, float(v), v - 0.25))
+
+
+def _kernel_cases(rng, n):
+    """Max-plus matrices of size n: dense feasible, sparse feasible and infeasible.
+
+    Entries mix ints with equal floats and quarters, so ties between an
+    int and a float are common and show which operand a kernel keeps.
+    """
+    pot = [rng.randint(-9, 9) for _ in range(n)]
+    dense = [[_mixed(rng, rng.randint(-6, 0) + pot[i] - pot[j]) for j in range(n)]
+             for i in range(n)]
+    yield "dense", dense
+    yield "sparse", [[v if rng.random() < 0.2 else None for v in r] for r in dense]
+    # a positive 2-cycle through the last index, so the refusal comes at the last pivot
+    heavy = [list(r) for r in dense]
+    i = rng.randrange(n - 1)
+    heavy[i][n - 1] = pot[i] - pot[n - 1] + 1
+    heavy[n - 1][i] = pot[n - 1] - pot[i]
+    yield "infeasible", heavy
+
+
+@pytest.mark.parametrize("n", [64, 100, 160])
+def test_kernels_match_the_generic_loops(n):
+    rng = random.Random(n)
+    for name, rows in _kernel_cases(rng, n):
+        expected = _typed_star(Matrix(generic_max_plus, rows))
+        assert _typed_star(mp(rows)) == expected, name
+        assert (name == "infeasible") == isinstance(expected, str)
+    a, b = ([[None if rng.random() < 0.1 else _mixed(rng, rng.randint(-9, 9))
+              for _ in range(n)] for _ in range(n)] for _ in range(2))
+    assert _typed(mp(a) @ mp(b)) == _typed(Matrix(generic_max_plus, a)
+                                          @ Matrix(generic_max_plus, b))
 
 
 def test_asterate_dominates_identity():

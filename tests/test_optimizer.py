@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,7 +7,8 @@ from tropspan import (GridSpec, InvariantViolation, Matrix, NotRegular, NotSquar
                       ProblemInstance, ShapeMismatch, brute_force_max,
                       evaluate_objective, max_plus, ones, solve_constrained,
                       solve_norm_form, solve_unconstrained)
-from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, mp,
+from support import (COMBINED, SS_STAR, START_FINISH, START_START, col,
+                     counted_products, mp,
                      random_feasible_constraint, random_instance,
                      random_regular_column, raw_objective)
 
@@ -123,18 +123,8 @@ def test_norm_form_equals_unconstrained_with_unit_weights():
 def test_families_of_one_row_share_one_bounds_tuple():
     n = 40
     a = mp([[0] * n for _ in range(n)])
-    counts = Counter()
-    mul = max_plus.mul
-
-    def counted_mul(x, y):
-        counts["mul"] += 1
-        return mul(x, y)
-
-    max_plus.mul = counted_mul
-    try:
+    with counted_products() as counts:
         report = solve_norm_form(a, a)
-    finally:
-        del max_plus.mul
     assert len(report.families) == n * n
     # 3n² + n products find delta and the tied pairs, n² more the n rows' bounds
     assert 0 < counts["mul"] <= 5 * n * n

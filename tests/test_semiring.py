@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tropspan import INSTANCES, InversionOfZero, max_plus, max_times, min_plus
+from tropspan import INSTANCES, InversionOfZero, Semifield, max_plus, max_times, min_plus
 
 NEG_INF = float("-inf")
 
@@ -81,6 +81,46 @@ def test_canonical_collapses_zero_encodings():
     assert str(max_times.canonical(-0.0)) == "0"
     assert max_plus.canonical(5) == 5
     assert max_plus.canonical(NEG_INF) == NEG_INF
+
+
+# ----------------------------------------------------------------------
+# the max-plus vector kernels against the generic loops of Semifield
+
+BIG = 2 ** 60   # an int and a float that compare equal but print differently
+
+
+def kernel_entries():
+    # narrow ranges, so that an int and an equal float often tie for the maximum
+    return st.one_of(st.integers(-4, 4), st.integers(-16, 16).map(lambda k: k / 4),
+                     st.just(NEG_INF), st.sampled_from((BIG, float(BIG), -BIG, -float(BIG))))
+
+
+def kernel_vectors():
+    return st.lists(st.tuples(kernel_entries(), kernel_entries()),
+                    min_size=1, max_size=8).map(lambda pairs: tuple(zip(*pairs)))
+
+
+def typed(values):
+    return [(v, type(v)) for v in values]
+
+
+@given(vectors=kernel_vectors())
+def test_max_plus_dot_matches_the_generic_loop(vectors):
+    r, c = vectors
+    assert typed([max_plus.dot(r, c)]) == typed([Semifield.dot(max_plus, r, c)])
+
+
+@given(vectors=kernel_vectors(), s=kernel_entries())
+def test_max_plus_add_scaled_matches_the_generic_loop(vectors, s):
+    x, y = vectors
+    assert typed(max_plus.add_scaled(x, s, y)) == typed(Semifield.add_scaled(max_plus, x, s, y))
+
+
+def test_max_plus_kernels_keep_the_left_operand_of_a_tie():
+    for left, right in ((BIG, float(BIG)), (float(BIG), BIG)):
+        assert typed([max_plus.dot([left, 0], [0, right])]) == typed([left])
+        assert typed(max_plus.add_scaled([left], 0, [right])) == typed([left])
+        assert typed(max_plus.add_scaled([NEG_INF], 0, [right])) == typed([right])
 
 
 # ----------------------------------------------------------------------
