@@ -8,8 +8,8 @@ c ⊗ x ≤ x, and we push them as far apart as the constraints allow.
 Run with:  python demos/initiation_span.py
 """
 
-from tropspan import (Matrix, asterate, latest_schedule, max_initiation_spread,
-                      max_plus, tr_closure)
+from tropspan import (Matrix, TrConditionViolated, asterate, latest_schedule,
+                      max_initiation_spread, max_plus)
 
 c = Matrix(max_plus, [[None, -2, 1],
                       [0, None, 2],
@@ -17,8 +17,8 @@ c = Matrix(max_plus, [[None, -2, 1],
 print("start-start lags (None = no lag):")
 print(c)
 
-print("\nfeasibility indicator tr_closure(c) =", tr_closure(c), "(needs <= 0)")
-print("generator closure asterate(c) =")
+print("\nasterate(c) succeeds, so no cycle of lags is heavier than 0 and")
+print("the constraints are feasible; the generator closure is")
 print(asterate(c))
 
 report, closure = max_initiation_spread(c)
@@ -38,9 +38,9 @@ print("\nlatest optimal initiations x =", x)
 print("constraint check c @ x <= x  =", (c @ sched.initiation).leq(sched.initiation))
 print("spread max(x) - min(x)       =", max(x) - min(x))
 
-print("\nan infeasible variant: a positive self-lag forces Tr > 0")
+print("\nan infeasible variant: a positive self-lag is a cycle heavier than 0")
 bad = Matrix(max_plus, [[1]])
 try:
     max_initiation_spread(bad)
-except Exception as exc:
+except TrConditionViolated as exc:
     print("  rejected:", exc)

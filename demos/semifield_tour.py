@@ -3,7 +3,8 @@
 Run with:  python demos/semifield_tour.py
 """
 
-from tropspan import INSTANCES, Matrix, asterate, max_plus, ones, tr_closure, vector
+from tropspan import (INSTANCES, Matrix, TrConditionViolated, asterate, max_plus, ones,
+                      vector)
 
 print("=== scalar arithmetic in the three shipped semifields ===")
 for sf in INSTANCES:
@@ -36,12 +37,18 @@ print("\n=== star closure ===")
 c = Matrix(max_plus, [[None, -2, 1], [0, None, 2], [-1, None, None]])
 print("c =")
 print(c)
-print("\ntr_closure(c) =", tr_closure(c),
-      " (<= 0 means the constraint c @ x <= x is satisfiable)")
 star = asterate(c)
-print("asterate(c) =")
+print("\nasterate(c) succeeds, so no cycle of c is heavier than 0 and")
+print("the constraint c @ x <= x is satisfiable:")
 print(star)
 u = ones(max_plus, 3)
 print("\nevery x = asterate(c) @ u solves c @ x <= x; with u = 0:",
       (star @ u).entries())
 print("check: c @ x <= x entrywise:", (c @ (star @ u)).leq(star @ u))
+
+# a cycle heavier than the unit leaves c @ x <= x without a regular solution
+heavy = Matrix(max_plus, [[None, 2], [-1, None]])
+try:
+    asterate(heavy)
+except TrConditionViolated as exc:
+    print("\nasterate refuses a cycle of weight 1:", exc)

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import (InvariantViolation, NotIrreducible, NotRegular, NotSquare,
-                     ShapeMismatch, TrConditionViolated, ZeroEntry, ZeroRightHandSide)
+                     ShapeMismatch, TrConditionViolated, ZeroEntry)
 from .matvec import Matrix
 from .scheduling import (Project, latest_schedule, max_completion_spread,
                          max_completion_spread_constrained, max_initiation_spread)
@@ -34,7 +34,7 @@ EXIT_INVALID = 3
 EXIT_PARSE = 4
 
 _INVALID_INPUT_ERRORS = (InvariantViolation, NotRegular, NotIrreducible, NotSquare,
-                         ShapeMismatch, ZeroEntry, ZeroRightHandSide, ValueError)
+                         ShapeMismatch, ZeroEntry, ValueError)
 
 
 class _ParseFailure(Exception):
@@ -156,18 +156,6 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
     return Matrix(max_plus, rows)
 
 
-def dump_project(project: Project) -> dict:
-    """Inverse of the file parser; finite values kept exactly, 𝟘 as null."""
-    doc: dict = {"n": project.n}
-    if project.start_finish is not None:
-        doc["start_finish"] = [[_plain(v) for v in row]
-                               for row in project.start_finish.data]
-    if project.start_start is not None:
-        doc["start_start"] = [[None if v == max_plus.zero else _plain(v) for v in row]
-                              for row in project.start_start.data]
-    return doc
-
-
 def _plain(v):
     if isinstance(v, float) and v.is_integer():
         return int(v)
@@ -204,11 +192,8 @@ def _document(report, closure, completion_matrix, alpha, latest) -> dict:
         if bounds is None:
             bounds = shifted[id(fam.upper_bounds)] = [
                 _plain(mul(alpha, b)) for b in fam.upper_bounds]
-        pinned = bounds[fam.pinned_index]
-        if _plain(mul(alpha, fam.pinned_value)) != pinned:
-            raise ValueError("the bound at the pinned component must equal the pinned value")
-        families.append({"pinned_index": fam.pinned_index + 1, "pinned_value": pinned,
-                         "upper_bounds": bounds})
+        families.append({"pinned_index": fam.pinned_index + 1,
+                         "pinned_value": bounds[fam.pinned_index], "upper_bounds": bounds})
     schedules = (latest_schedule(report, closure, completion_matrix, alpha)
                  if latest else [])
     doc = {

@@ -29,21 +29,15 @@ class NotRegular(TropicalError):
     """A vector has a zero component where a regular one was required."""
 
 
-class ZeroRightHandSide(TropicalError):
-    """The right hand side of the equation must exceed the semifield zero."""
-
-
 class NotIrreducible(TropicalError):
     """The matrix's nonzero pattern is not strongly connected."""
 
 
 class TrConditionViolated(TropicalError):
-    """The trace-closure feasibility condition Tr(A) <= 1 fails."""
+    """The constraint matrix has a cycle heavier than 𝟙, so C ⊗ x ≤ x
+    has no regular solution."""
 
 
 class InvariantViolation(TropicalError):
     """An input violates a documented precondition of a solver."""
 
-
-class GridTooLarge(TropicalError):
-    """A brute-force enumeration would exceed the configured cap."""

@@ -6,12 +6,12 @@ matrices, and conjugation turns them into single-row matrices.  All
 values are immutable and every operation returns a fresh matrix, so
 concurrent use needs no locking.
 
-A product makes one `Semifield.dot` call per output entry, and powers
-use repeated multiplication.  The star closure `asterate` is one O(n^3)
-Floyd–Warshall pass that also decides feasibility; it updates a whole
-row at a time with `Semifield.add_scaled`.  Both vector operations run
-on builtins for `max_plus`.  `tr_closure`, the paper's feasibility
-indicator, sums n powers in O(n^4); no solver calls it.
+A product makes one `Semifield.dot` call per output entry.  The star
+closure `asterate` is one O(n^3) Floyd–Warshall pass that also decides
+feasibility: C ⊗ x ≤ x has a regular solution exactly when C has no
+cycle heavier than 𝟙, which `asterate` checks.  It updates a whole row
+at a time with `Semifield.add_scaled`.  Both vector operations run on
+builtins for `max_plus`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .semiring import Scalar, Semifield
 class Matrix:
     """Immutable dense matrix over a semifield.
 
-    ``A + B`` is the entrywise sum, ``A @ B`` the product with ⊕ and ⊗
-    in place of ordinary addition and multiplication, and ``A ** k``
-    the k-fold product (``A ** 0`` is the identity).  Indexing is zero
-    based: ``A[i, j]`` for matrices, ``x[i]`` for vectors.
+    ``A + B`` is the entrywise sum and ``A @ B`` the product with ⊕ and
+    ⊗ in place of ordinary addition and multiplication.  Indexing is
+    zero based: ``A[i, j]`` for matrices, ``x[i]`` for vectors.
     """
 
     __slots__ = ("sf", "data", "rows", "cols")
@@ -177,16 +176,6 @@ class Matrix:
         return Matrix._wrap(self.sf, tuple(
             tuple([dot(arow, bcol) for bcol in bt]) for arow in self.data))
 
-    def __pow__(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise NotSquare("powers are defined for square matrices")
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("the exponent must be a nonnegative integer")
-        acc = Matrix.identity(self.sf, self.rows)
-        for _ in range(k):
-            acc = acc @ self
-        return acc
-
     def scale(self, alpha: Scalar) -> "Matrix":
         """Multiply every entry by the scalar `alpha`."""
         sf = self.sf
@@ -283,24 +272,6 @@ def is_regular(x: Matrix) -> bool:
     if not x.is_vector:
         raise ShapeMismatch("is_regular applies to vectors")
     return x.is_zero_free()
-
-
-def tr_closure(a: Matrix) -> Scalar:
-    """⊕ of the traces of a, a², ..., aⁿ for an n×n matrix.
-
-    The result is ≤ 𝟙 exactly when every cycle of the weighted digraph
-    of `a` has weight ≤ 𝟙, which decides solvability of a ⊗ x ≤ x.
-    This is the paper's indicator; `asterate` decides the same in O(n^3).
-    """
-    if a.rows != a.cols:
-        raise NotSquare("the trace closure is defined for square matrices")
-    sf = a.sf
-    power = a
-    acc = power.trace()
-    for _ in range(a.rows - 1):
-        power = power @ a
-        acc = sf.add(acc, power.trace())
-    return acc
 
 
 def asterate(a: Matrix) -> Matrix:

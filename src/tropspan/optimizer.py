@@ -18,7 +18,7 @@ scalings; families are reported at α = 𝟙.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
 from .matvec import Matrix, asterate, ones
@@ -58,11 +58,7 @@ class ProblemInstance:
             raise InvariantViolation(
                 f"vector q must have one component per row of B; "
                 f"got {q.rows} for {b.rows} rows")
-        pos = a.first_zero()
-        if pos is not None:
-            raise InvariantViolation(
-                f"matrix A must have no zero entries; entry at "
-                f"row {pos[0] + 1}, column {pos[1] + 1} is zero")
+        require_zero_free(a, "matrix A")
         zero = a.sf.zero
         if not b.is_column_regular():
             j = next(j for j in range(b.cols)
@@ -106,10 +102,6 @@ class SolutionReport:
     delta: Scalar
     pairs: tuple[tuple[int, int], ...]
     families: tuple[BoxFamily, ...]
-
-    scale_note: ClassVar[str] = (
-        "families are closed under scaling: alpha ⊗ x is optimal "
-        "whenever x is, for every alpha above the semifield zero")
 
 
 class ConstrainedReport(NamedTuple):
@@ -170,7 +162,7 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
             if bounds is None:
                 bounds = row_bounds[s] = tuple(mul(col[s], p[s]) for col in a_inv)
             pairs.append((k, s))
-            families.append(BoxFamily(sf, k, pinned, bounds))
+            families.append(BoxFamily(sf, k, bounds))
     return SolutionReport(delta, tuple(pairs), tuple(families))
 
 
@@ -187,10 +179,11 @@ def solve_norm_form(a: Matrix, b: Matrix) -> SolutionReport:
 def solve_constrained(inst: ProblemInstance, c: Matrix) -> ConstrainedReport:
     """Maximize the objective subject to C ⊗ x ≤ x.
 
-    Feasibility requires tr_closure(C) ≤ 𝟙; then x = C* ⊗ u sweeps the
-    feasible regular vectors and the problem reduces to the
-    unconstrained one on (A ⊗ C*, B ⊗ C*), solved in u.  The returned
-    closure C* maps reported u back to x.
+    Feasibility requires that C has no cycle heavier than 𝟙, which
+    `asterate` checks; then x = C* ⊗ u sweeps the feasible regular
+    vectors and the problem reduces to the unconstrained one on
+    (A ⊗ C*, B ⊗ C*), solved in u.  The returned closure C* maps
+    reported u back to x.
     """
     if c.rows != c.cols:
         raise NotSquare("the constraint matrix must be square")
@@ -200,3 +193,12 @@ def solve_constrained(inst: ProblemInstance, c: Matrix) -> ConstrainedReport:
     closure = asterate(c)
     reduced = ProblemInstance(inst.A @ closure, inst.B @ closure, inst.p, inst.q)
     return ConstrainedReport(solve_unconstrained(reduced), closure)
+
+
+def require_zero_free(m: Matrix, label: str) -> None:
+    """Raise `InvariantViolation` naming the first 𝟘 entry of `m`, if any."""
+    pos = m.first_zero()
+    if pos is not None:
+        raise InvariantViolation(
+            f"{label} must have no zero entries; entry at "
+            f"row {pos[0] + 1}, column {pos[1] + 1} is zero")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotIrreducible, NotSquare, ShapeMismatch
 from .matvec import Matrix, asterate, is_irreducible
-from .optimizer import ConstrainedReport, SolutionReport, solve_norm_form
+from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
+                        solve_norm_form)
 from .semiring import Scalar
 
 
@@ -57,15 +58,16 @@ def max_completion_spread(a: Matrix) -> SolutionReport:
     The report's families describe the initiation vectors x directly;
     the optimum equals ‖A ⊗ A⁻‖.
     """
-    _require_zero_free(a, "start-finish matrix")
+    require_zero_free(a, "start-finish matrix")
     return solve_norm_form(a, a)
 
 
 def max_initiation_spread(c: Matrix) -> ConstrainedReport:
     """Maximize the span of initiation times subject to C ⊗ x ≤ x.
 
-    C must be irreducible with tr_closure(C) ≤ 𝟙.  The report is over
-    the generator variable u; initiations are x = closure ⊗ u.
+    C must be irreducible and have no cycle heavier than 𝟙, which
+    `asterate` checks.  The report is over the generator variable u;
+    initiations are x = closure ⊗ u.
     """
     if c.rows != c.cols:
         raise NotSquare("the start-start matrix must be square")
@@ -97,7 +99,7 @@ def max_completion_spread_constrained(a: Matrix, c: Matrix) -> ConstrainedReport
             f"contains only zero entries")
     closure = asterate(c)
     d = a @ closure
-    _require_zero_free(d, "product of the start-finish matrix and the constraint closure")
+    require_zero_free(d, "product of the start-finish matrix and the constraint closure")
     return ConstrainedReport(solve_norm_form(d, d), closure)
 
 
@@ -133,11 +135,3 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
         y = start_finish @ x if start_finish is not None else None
         out.setdefault((x, y), Schedule(x, y, report.delta))
     return list(out.values())
-
-
-def _require_zero_free(m: Matrix, label: str) -> None:
-    pos = m.first_zero()
-    if pos is not None:
-        raise InvariantViolation(
-            f"{label} must have no zero entries; entry at "
-            f"row {pos[0] + 1}, column {pos[1] + 1} is zero")

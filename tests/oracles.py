@@ -1,8 +1,11 @@
-"""Brute-force enumeration oracles for small integer max-plus instances.
+"""Reference solvers the tests compare the package against.
 
-Deliberately independent of the closed-form solvers: the objective and
-the feasibility predicate are evaluated with plain built-in max and +
-on integer grids, sharing no arithmetic with the algebraic path they
+`solve_scalar_equation` is the lemma behind the bounds of
+`solve_unconstrained`: every solution of one equation a ⊗ x = d as a
+union of boxes.  The brute-force grid oracles are deliberately
+independent of the closed-form solvers: the objective and the
+feasibility predicate are evaluated with plain built-in max and + on
+integer grids, sharing no arithmetic with the algebraic path they
 confront.  Integer data only; every comparison is exact.
 """
 
@@ -12,13 +15,47 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .errors import GridTooLarge, ShapeMismatch
-from .matvec import Matrix
-from .optimizer import ProblemInstance
-from .semiring import max_plus
+from tropspan import (BoxFamily, Matrix, NotRegular, ProblemInstance, Scalar,
+                      ShapeMismatch, TropicalError, max_plus)
 
 NEG_INF = float("-inf")
 
+
+class GridTooLarge(TropicalError):
+    """A brute-force enumeration would exceed the configured cap."""
+
+
+class ZeroRightHandSide(TropicalError):
+    """The right hand side of the equation must exceed the semifield zero."""
+
+
+# ----------------------------------------------------------------------
+# the single linear equation
+
+def solve_scalar_equation(a: Matrix, d: Scalar) -> list[BoxFamily]:
+    """All solutions x of a₁x₁ ⊕ ... ⊕ aₙxₙ = d, as n boxes.
+
+    Box i pins x[i] = a[i]⁻¹ ⊗ d, the largest value component i can
+    take, and bounds every other component by the same expression.
+    The union over i is the complete solution set; boxes may overlap
+    or coincide and are deliberately not deduplicated.
+    """
+    if not a.is_vector:
+        raise ShapeMismatch("the coefficient argument must be a vector")
+    entries = a.entries()
+    sf = a.sf
+    for i, v in enumerate(entries):
+        if sf.is_zero(v):
+            raise NotRegular(f"coefficient vector must be regular; component {i + 1} is zero")
+    d = sf.canonical(d)
+    if sf.is_zero(d):
+        raise ZeroRightHandSide("the right hand side must exceed the semifield zero")
+    bounds = tuple(sf.mul(sf.inv(v), d) for v in entries)
+    return [BoxFamily(sf, i, bounds) for i in range(len(entries))]
+
+
+# ----------------------------------------------------------------------
+# brute-force grid oracles
 
 @dataclass(frozen=True)
 class GridSpec:

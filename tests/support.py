@@ -1,18 +1,20 @@
 """Shared test data and generators.
 
 Holds the 3-activity example project used throughout the suite, random
-instance builders whose preconditions hold by construction, a max-plus
-instance on the generic vector loops with a ⊗ counter for `max_plus`,
-and raw max/+ evaluators that give the tests an arithmetic path
-independent of the package's semifield operations.
+instance builders whose preconditions hold by construction, reference
+closures by the paper's power series, a max-plus instance on the
+generic vector loops with a ⊗ counter for `max_plus`, raw max/+
+evaluators that give the tests an arithmetic path independent of the
+package's semifield operations, and the inverse of the CLI's file
+parser.
 """
 
 import contextlib
 import random
 from collections import Counter
 
-from tropspan import (Matrix, ProblemInstance, Semifield, TrConditionViolated,
-                      max_plus, max_times, tr_closure)
+from tropspan import (Matrix, NotSquare, ProblemInstance, Project, Scalar, Semifield,
+                      TrConditionViolated, max_plus, max_times)
 from tropspan.semiring import _MaxPlus
 
 NEG_INF = float("-inf")
@@ -155,7 +157,25 @@ def rng_feasible_constraint(rng: random.Random, sf, max_n=4):
 
 
 # ----------------------------------------------------------------------
-# reference star closure
+# reference closures by the power series
+
+def tr_closure(a: Matrix) -> Scalar:
+    """⊕ of the traces of a, a², ..., aⁿ for an n×n matrix, in O(n^4).
+
+    The result is ≤ 𝟙 exactly when every cycle of the weighted digraph
+    of `a` has weight ≤ 𝟙, which decides solvability of a ⊗ x ≤ x.
+    This is the paper's indicator; `asterate` decides the same in O(n^3).
+    """
+    if a.rows != a.cols:
+        raise NotSquare("the trace closure is defined for square matrices")
+    sf = a.sf
+    power = a
+    acc = power.trace()
+    for _ in range(a.rows - 1):
+        power = power @ a
+        acc = sf.add(acc, power.trace())
+    return acc
+
 
 def power_series_asterate(c: Matrix) -> Matrix:
     """Star closure by its definition, I ⊕ c ⊕ ... ⊕ cⁿ⁻¹, in O(n^4).
@@ -248,3 +268,21 @@ def raw_satisfies_constraint(rows, x):
     """True when rows @ x <= x holds entrywise in ordinary arithmetic."""
     return all(max(cij + xj for cij, xj in zip(row, x)) <= xi
                for row, xi in zip(rows, x))
+
+
+# ----------------------------------------------------------------------
+# the inverse of the CLI's file parser
+
+def dump_project(project: Project) -> dict:
+    """The json document of `project`; finite values kept exactly, 𝟘 as null."""
+    def plain(v):
+        return int(v) if isinstance(v, float) and v.is_integer() else v
+
+    doc: dict = {"n": project.n}
+    if project.start_finish is not None:
+        doc["start_finish"] = [[plain(v) for v in row]
+                               for row in project.start_finish.data]
+    if project.start_start is not None:
+        doc["start_start"] = [[None if v == max_plus.zero else plain(v) for v in row]
+                              for row in project.start_start.data]
+    return doc

@@ -13,16 +13,18 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from tropspan import (GridSpec, INSTANCES, Matrix, asterate, brute_force_max,
-                      brute_force_subeigen, evaluate_objective, latest_schedule,
-                      max_completion_spread, max_completion_spread_constrained,
-                      max_initiation_spread, max_plus, solve_subeigen,
-                      solve_unconstrained, tr_closure)
+import pytest
+
+from tropspan import (INSTANCES, Matrix, TrConditionViolated, asterate,
+                      evaluate_objective, latest_schedule, max_completion_spread,
+                      max_completion_spread_constrained, max_initiation_spread,
+                      max_plus, solve_unconstrained)
+from oracles import GridSpec, brute_force_max, brute_force_subeigen
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, mp,
                      random_feasible_constraint, random_infeasible_constraint,
                      random_instance, random_regular_column, raw_objective,
                      rng_element, rng_feasible_constraint, rng_irreducible,
-                     rng_matrix, rng_regular_column)
+                     rng_matrix, rng_regular_column, tr_closure)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,9 +132,7 @@ def test_criterion_6_subeigen_generator_suite():
         rng = random.Random(777)
         for _ in range(200):
             c = random_feasible_constraint(rng, max_n=4)
-            gen = solve_subeigen(c)
-            assert gen.solvable
-            star = gen.closure
+            star = asterate(c)
             for _ in range(50):
                 u = random_regular_column(rng, c.rows, lo=-8, hi=8)
                 x = star @ u
@@ -143,6 +143,8 @@ def test_criterion_6_subeigen_generator_suite():
         for _ in range(50):
             c = random_infeasible_constraint(rng, max_n=4)
             assert max_plus.lt(0, tr_closure(c))
+            with pytest.raises(TrConditionViolated):
+                asterate(c)
             grid = GridSpec(dim=c.rows, lo=-3, hi=3, normalization=None)
             assert brute_force_subeigen(c, grid) == []
 

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import pytest
 
 from tropspan import Matrix, max_plus
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
-                          _document, _json_text, _status_document, dump_project, main)
+                          _document, _json_text, _status_document, main)
 from tropspan.scheduling import Project
-from support import random_feasible_constraint
+from support import dump_project, random_feasible_constraint
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 BEYOND_FLOAT = "1" * 400   # an integer too large to convert to a float
@@ -253,3 +255,28 @@ def test_integer_values_serialize_without_decimal_point():
 def test_installed_entry_point_runs():
     proc = run_cli(["sf", "--input", str(DATA / "ex1.json")])
     assert proc.returncode == EXIT_OK
+
+
+def test_pinned_value_is_the_bound_at_the_pinned_component(tmp_path, capsys):
+    # an int and an equal float beyond 2^53 tie in column 1; alpha + float
+    # rounds while alpha + int does not, so a stored pinned value would
+    # disagree with its shifted bound
+    path = tmp_path / "tie.json"
+    path.write_text('{"n": 3, "start_finish": [[-1152921504606846976.0, 0, 0], '
+                    '[-1152921504606846976, 1, 0], [0, 0, 0]]}')
+    assert main(["sf", "--input", str(path), "--alpha", "1"]) == EXIT_OK
+    families = json.loads(capsys.readouterr().out)["families"]
+    assert families
+    for fam in families:
+        bound = fam["upper_bounds"][fam["pinned_index"] - 1]
+        assert fam["pinned_value"] == bound and type(fam["pinned_value"]) is type(bound)
+
+
+def test_cold_import_loads_only_the_cli_path():
+    code = ("import sys, tropspan.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('tropspan.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [f"tropspan.{name}" for name in (
+        "cli", "errors", "matvec", "optimizer", "scheduling", "semiring", "solvers")]

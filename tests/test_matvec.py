@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from tropspan import (INSTANCES, Matrix, NotSquare, ShapeMismatch, TrConditionViolated,
                       ZeroEntry, asterate, is_irreducible, is_regular, max_plus,
-                      max_times, min_plus, ones, tr_closure, vector)
+                      max_times, min_plus, ones, vector)
 from support import (COMBINED, COMBINED_CONJ, COMBINED_TIMES_CONJ, NEG_INF,
                      SF_TIMES_CONJ, SS_SQUARED, SS_STAR, START_FINISH,
                      START_FINISH_CONJ, START_START, col, counted_products,
                      generic_max_plus, mp, power_series_asterate,
-                     rng_feasible_constraint, rng_finite, rng_irreducible, sub_unit)
+                     rng_feasible_constraint, rng_finite, rng_irreducible, sub_unit,
+                     tr_closure)
 
 
 def vectors(dim):
@@ -131,16 +132,6 @@ def test_mat_mul_pinned_products():
     c = mp(START_START)
     assert a @ mp(SS_STAR) == mp(COMBINED)
     assert c @ c == mp(SS_SQUARED)
-
-
-def test_powers():
-    c = mp(START_START)
-    assert c ** 0 == Matrix.identity(max_plus, 3)
-    assert c ** 2 == c @ c
-    with pytest.raises(NotSquare):
-        mp([[1, 2]]) ** 2
-    with pytest.raises(ValueError):
-        c ** -1
 
 
 def test_scale_shifts_every_entry():

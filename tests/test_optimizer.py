@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
-from tropspan import (GridSpec, InvariantViolation, Matrix, NotRegular, NotSquare,
-                      ProblemInstance, ShapeMismatch, brute_force_max,
-                      evaluate_objective, max_plus, ones, solve_constrained,
-                      solve_norm_form, solve_unconstrained)
+from tropspan import (InvariantViolation, Matrix, NotRegular, NotSquare,
+                      ProblemInstance, ShapeMismatch, evaluate_objective, max_plus,
+                      ones, solve_constrained, solve_norm_form, solve_unconstrained)
+from oracles import GridSpec, brute_force_max, solve_scalar_equation
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col,
                      counted_products, mp,
                      random_feasible_constraint, random_instance,
@@ -133,6 +133,47 @@ def test_families_of_one_row_share_one_bounds_tuple():
         assert fam.upper_bounds is by_row.setdefault(s, fam.upper_bounds)
     assert len(by_row) == n
     assert all(bounds == (0,) * n for bounds in by_row.values())
+
+
+def _typed(values):
+    """Values with their types: an int and an equal float tie but print differently."""
+    return [(v, type(v)) for v in values]
+
+
+def _lemma_instances():
+    rng = random.Random(29)
+
+    def entry():
+        v = rng.randint(-10, 10)
+        return rng.choice((v, float(v), v / 2))
+
+    for n in (1, 2, 3, 7, 16, 40):
+        m, l = rng.randint(1, n), rng.randint(1, n)
+        a = mp([[entry() for _ in range(n)] for _ in range(m)])
+        b = mp([[entry() for _ in range(n)] for _ in range(l)])
+        yield ProblemInstance(a, b, col([entry() for _ in range(m)]),
+                              col([entry() for _ in range(l)]))
+        # all tied, with 0 and 0.0 mixed: every pair (k, s) is a family
+        tied = mp([[rng.choice((0, 0.0)) for _ in range(n)] for _ in range(n)])
+        yield ProblemInstance(tied, tied, ones(max_plus, n), ones(max_plus, n))
+
+
+def test_bounds_of_row_s_are_the_box_of_its_scalar_equation():
+    # the lemma behind solve_unconstrained: the family (k, s) is box k of
+    # the solutions of a_s ⊗ x = p_s, with a_s the row s of A
+    families = 0
+    for inst in _lemma_instances():
+        boxes = {}
+        report = solve_unconstrained(inst)
+        for (k, s), fam in zip(report.pairs, report.families):
+            if s not in boxes:
+                boxes[s] = solve_scalar_equation(Matrix.row(max_plus, inst.A.data[s]),
+                                                 inst.p[s])
+            box = boxes[s][k]
+            assert fam.pinned_index == box.pinned_index == k
+            assert _typed(fam.upper_bounds) == _typed(box.upper_bounds)
+            families += 1
+    assert families > 40 * 40
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from tropspan import (GridSpec, GridTooLarge, Matrix, ProblemInstance,
-                      ShapeMismatch, brute_force_max, brute_force_subeigen,
-                      max_plus, min_plus, ones, solve_unconstrained)
+from tropspan import (Matrix, ProblemInstance, ShapeMismatch, max_plus, min_plus,
+                      ones, solve_unconstrained)
+from oracles import GridSpec, GridTooLarge, brute_force_max, brute_force_subeigen
 from support import (START_FINISH, START_START, col, mp, random_instance,
                      raw_objective)
 
