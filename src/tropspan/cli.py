@@ -6,18 +6,18 @@ Subcommands
     combined  completion-time span under both constraint kinds
 
 The input file is a json document {"n": ..., "start_finish": [[...]],
-"start_start": [[...]]} with square arrays of numbers; start_start may
-use null where no lag is defined.  Results go to stdout as json
-(default) or text, diagnostics to stderr.  Exit status: 0 solved, 2
-infeasible constraints, 3 input violating a solver precondition, 4
-unparseable input or numbers too large to compute with.
+"start_start": [[...]]} of square arrays.  An entry or --alpha must be
+a max-plus carrier element other than -inf, that is, a finite number
+within the float range; only start_start admits null, for no lag.
+Results go to stdout as json (default) or text, diagnostics to stderr.
+Exit status: 0 solved, 2 infeasible constraints, 3 input violating a
+solver precondition, 4 unparseable input or numbers too large to compute with.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -46,12 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseFailure(message)
 
 
-def _finite(value) -> bool:
-    """True for a number that is finite within the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int too large to become a float
-        return False
+def _admits(v) -> bool:
+    """The rule for every input number: a max-plus carrier element but 𝟘."""
+    return max_plus.contains(v) and v != max_plus.zero
 
 
 def _number(text: str):
@@ -62,7 +59,7 @@ def _number(text: str):
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not _finite(value):
+    if not _admits(value):
         raise argparse.ArgumentTypeError("alpha must be finite")
     return value
 
@@ -84,7 +81,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_project(path: str) -> Project:
+def _load_project(path: str) -> tuple[Project, int | float]:
+    """The project in the file at `path` and the largest |entry| it holds."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -103,41 +101,41 @@ def _load_project(path: str) -> Project:
     n = raw.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise _ParseFailure(f"{path}: 'n' must be a positive integer")
-    start_finish = _parse_matrix(raw, "start_finish", n, path, allow_null=False)
-    start_start = _parse_matrix(raw, "start_start", n, path, allow_null=True)
+    start_finish, sf_largest = _parse_matrix(raw, "start_finish", n, path, allow_null=False)
+    start_start, ss_largest = _parse_matrix(raw, "start_start", n, path, allow_null=True)
     if start_finish is None and start_start is None:
         raise _ParseFailure(f"{path}: provide start_finish, start_start, or both")
-    return Project(n=n, start_finish=start_finish, start_start=start_start)
+    project = Project(n=n, start_finish=start_finish, start_start=start_start)
+    return project, max(sf_largest, ss_largest)
 
 
-def _require_in_range(project: Project, alpha, path: str) -> None:
+def _require_in_range(n: int, largest, alpha, path: str) -> None:
     """Refuse numbers whose sums could leave the float range.
 
     Every value the solvers compute (C*, A ⊗ C*, delta, the bounds and
     the schedules) is a sum of at most 2n entries plus alpha, so
     2n·max|entry| + |alpha| within the largest float keeps every exact
-    value finite.
+    value finite.  `largest` is max|entry| over both matrices.
     """
-    zero = max_plus.zero
-    largest = max((abs(v) for m in (project.start_finish, project.start_start)
-                   if m is not None for row in m.data for v in row if v != zero),
-                  default=0)
     limit = sys.float_info.max
     # compared as 2n·largest > limit - |alpha|: a sum of an int beyond the
     # float range and a float would raise OverflowError
-    if 2 * project.n * largest > limit - abs(alpha):
+    if 2 * n * largest > limit - abs(alpha):
         raise _ParseFailure(
             f"{path}: numbers too large to compute with: 2n·max|entry| + |alpha| "
             f"must not exceed {limit!r}")
 
 
 def _parse_matrix(raw: dict, key: str, n: int, path: str,
-                  allow_null: bool) -> Matrix | None:
+                  allow_null: bool) -> tuple[Matrix | None, int | float]:
+    """The matrix under `key` and its largest |entry|, in one pass that
+    checks each entry by `_admits` and maps null to 𝟘."""
     rows = raw.get(key)
     if rows is None:
-        return None
+        return None, 0
     if not isinstance(rows, list) or len(rows) != n:
         raise _ParseFailure(f"{path}: '{key}' must be a list of {n} rows")
+    largest = 0
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise _ParseFailure(f"{path}: row {i + 1} of '{key}' must hold {n} entries")
@@ -147,13 +145,15 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
                     raise _ParseFailure(
                         f"{path}: '{key}' does not admit null "
                         f"(row {i + 1}, column {j + 1})")
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not _finite(v):
+                row[j] = max_plus.zero
+            elif not _admits(v):
                 raise _ParseFailure(
                     f"{path}: entry at row {i + 1}, column {j + 1} of "
                     f"'{key}' must be a finite number or null")
-    return Matrix(max_plus, rows)
+            elif abs(v) > largest:
+                largest = abs(v)
+    # admitted entries and 𝟘 pass every check of the constructor
+    return Matrix._wrap(max_plus, tuple(map(tuple, rows))), largest
 
 
 def _plain(v):
@@ -181,8 +181,6 @@ def _dispatch(command: str, project: Project):
 
 
 def _document(report, closure, completion_matrix, alpha, latest) -> dict:
-    if max_plus.is_zero(alpha):
-        raise ValueError("scaling by the semifield zero collapses the box")
     mul = max_plus.mul
     # families that share a bounds tuple share its shifted, printable list
     shifted: dict[int, list] = {}
@@ -283,8 +281,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
-        project = _load_project(args.input)
-        _require_in_range(project, args.alpha, args.input)
+        project, largest = _load_project(args.input)
+        _require_in_range(project.n, largest, args.alpha, args.input)
         report, closure, completion_matrix = _dispatch(args.command, project)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

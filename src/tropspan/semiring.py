@@ -13,7 +13,8 @@ designates one number as 𝟘 and one as the unit 𝟙.
 The number that would complete the order at the top (+inf in
 max-plus) is not a carrier element: matrices reject it on
 construction, and inverting 𝟘 raises `InversionOfZero` rather than
-producing it.
+producing it.  The CLI admits an input number by `max_plus.contains`,
+less the zero -inf.
 
 Shipped instances:
 

@@ -5,19 +5,24 @@ instance builders whose preconditions hold by construction, reference
 closures by the paper's power series, a max-plus instance on the
 generic vector loops with a ⊗ counter for `max_plus`, raw max/+
 evaluators that give the tests an arithmetic path independent of the
-package's semifield operations, and the inverse of the CLI's file
-parser.
+package's semifield operations, the inverse of the CLI's file parser,
+and a runner for subprocesses that import the package from src/.
 """
 
 import contextlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from tropspan import (Matrix, NotSquare, ProblemInstance, Project, Scalar, Semifield,
                       TrConditionViolated, max_plus, max_times)
 from tropspan.semiring import _MaxPlus
 
 NEG_INF = float("-inf")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mp(rows):
@@ -286,3 +291,11 @@ def dump_project(project: Project) -> dict:
         doc["start_start"] = [[None if v == max_plus.zero else plain(v) for v in row]
                               for row in project.start_start.data]
     return doc
+
+
+def run_python(*args, text=True, timeout=None):
+    """Run this interpreter on `args` from the repository root, importing
+    tropspan from src/ whatever PYTHONPATH the caller has."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          timeout=timeout, cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))

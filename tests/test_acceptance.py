@@ -7,8 +7,6 @@ integer comparisons; nothing is rounded.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,7 +22,7 @@ from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, mp,
                      random_feasible_constraint, random_infeasible_constraint,
                      random_instance, random_regular_column, raw_objective,
                      rng_element, rng_feasible_constraint, rng_irreducible,
-                     rng_matrix, rng_regular_column, tr_closure)
+                     rng_matrix, rng_regular_column, run_python, tr_closure)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,13 +209,10 @@ def test_criterion_8_cli_golden_files():
             ("ex3", ["combined", "--input", str(DATA / "ex3.json"), "--latest"]),
         ]
         for name, args in runs:
-            proc = subprocess.run([sys.executable, "-m", "tropspan.cli", *args],
-                                  capture_output=True)
+            proc = run_python("-m", "tropspan.cli", *args, text=False)
             assert proc.returncode == 0
             assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
-        proc = subprocess.run(
-            [sys.executable, "-m", "tropspan.cli", "ss",
-             "--input", str(DATA / "infeasible.json")],
-            capture_output=True)
+        proc = run_python("-m", "tropspan.cli", "ss", "--input", str(DATA / "infeasible.json"),
+                          text=False)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["status"] == "infeasible"

@@ -1,7 +1,5 @@
 import json
-import os
 import random
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,12 +9,12 @@ from tropspan import Matrix, max_plus
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
                           _document, _json_text, _status_document, main)
 from tropspan.scheduling import Project
-from support import dump_project, random_feasible_constraint
+from support import dump_project, random_feasible_constraint, run_python
 
-ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 BEYOND_FLOAT = "1" * 400   # an integer too large to convert to a float
+JUST_BEYOND_FLOAT = str(int(sys.float_info.max) + 1)   # converts, rounding to the largest float
 
 GOLDEN_RUNS = [
     ("ex1", ["sf", "--input", str(DATA / "ex1.json"), "--latest"]),
@@ -30,8 +28,7 @@ GOLDEN_RUNS = [
 
 
 def run_cli(args):
-    return subprocess.run([sys.executable, "-m", "tropspan.cli", *args],
-                          capture_output=True, text=True)
+    return run_python("-m", "tropspan.cli", *args)
 
 
 @pytest.mark.parametrize("name,args", GOLDEN_RUNS)
@@ -83,6 +80,11 @@ def test_missing_matrix_for_subcommand_exits_3(capsys):
     '{"n": 2, "start_finish": [[1, 1], [1, 1]], "extra": 1}',
     '{"start_finish": [[1]]}',
     '{"n": 1, "start_finish": [[1e999]]}',
+    # numbers json admits but the max-plus carrier, less its zero -inf, does not;
+    # the parse is their only guard, and Matrix would take -Infinity as "no lag"
+    *('{"n": 2, "start_finish": [[1, 2], [3, 4]], "start_start": [[null, %s], [0, null]]}'
+      % entry for entry in ("-Infinity", "Infinity", "NaN", "true", '"1"', "[0]", "{}")),
+    '{"n": 1, "start_finish": [[-Infinity]]}',
 ])
 def test_malformed_files_exit_4(tmp_path, content, capsys):
     path = tmp_path / "bad.json"
@@ -90,7 +92,8 @@ def test_malformed_files_exit_4(tmp_path, content, capsys):
     assert main(["sf", "--input", str(path)]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert json.loads(captured.out)["status"] == "invalid_input"
-    assert captured.err
+    # refused by the parse itself, not by the range check that follows it
+    assert captured.err and "too large" not in captured.err
 
 
 def test_missing_file_and_bad_usage_exit_4(capsys):
@@ -105,6 +108,9 @@ def test_missing_file_and_bad_usage_exit_4(capsys):
     assert main(["sf", "--input", str(DATA / "ex1.json"), "--latest",
                  "--alpha", BEYOND_FLOAT]) == EXIT_PARSE
     assert "alpha must be finite" in capsys.readouterr().err
+    for alpha in (JUST_BEYOND_FLOAT, "-inf"):
+        assert main(["sf", "--input", str(DATA / "ex1.json"), f"--alpha={alpha}"]) == EXIT_PARSE
+        assert "alpha must be finite" in capsys.readouterr().err
 
 
 BIG_LAG = str(-10 ** 308)   # in the float range, but a path of three such lags is not
@@ -120,8 +126,19 @@ CYCLE_OF_4 = (f"[[null, {BIG_LAG}, null, null], [null, null, {BIG_LAG}, null], "
     ("sf", b'{"n": 1, "start_start": [[' + BEYOND_FLOAT.encode() + b"]]}", "finite"),
     ("ss", b'{"n": 4, "start_start": ' + CYCLE_OF_4.encode() + b"}", "too large"),
     ("sf", b'{"n": 2, "start_finish": [[1e308, 0], [-1e308, 0]]}', "too large"),
+    ("sf", b'{"n": 1, "start_finish": [[' + JUST_BEYOND_FLOAT.encode() + b"]]}",
+     "must be a finite number or null"),
+    # the range check covers the matrix that ss does not use
+    ("ss", b'{"n": 2, "start_finish": [[1e308, 0], [0, 0]], '
+           b'"start_start": [[null, 0], [0, null]]}', "too large"),
+    # every parse error comes before the range check
+    ("sf", b'{"n": 2, "start_finish": [[1e308, 0], [-1e308, 0]], '
+           b'"start_start": [[null, "x"], [0, null]]}',
+     "entry at row 1, column 2 of 'start_start' must be a finite number or null"),
 ], ids=["deep-nesting", "not-utf8", "over-int-digit-limit", "start-finish-beyond-float",
-        "start-start-beyond-float", "closure-path-beyond-float", "delta-beyond-float"])
+        "start-start-beyond-float", "closure-path-beyond-float", "delta-beyond-float",
+        "start-finish-just-beyond-float", "unused-matrix-beyond-float",
+        "parse-errors-before-range"])
 def test_unparseable_files_exit_4(tmp_path, command, content, message, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
@@ -235,7 +252,7 @@ def test_round_trip_preserves_values_exactly():
     for name in ("ex1", "ex2", "ex3", "tied", "dense"):
         path = DATA / f"{name}.json"
         original = json.loads(path.read_text())
-        assert dump_project(_load_project(str(path))) == original
+        assert dump_project(_load_project(str(path))[0]) == original
 
 
 def test_integer_values_serialize_without_decimal_point():
@@ -275,8 +292,7 @@ def test_pinned_value_is_the_bound_at_the_pinned_component(tmp_path, capsys):
 def test_cold_import_loads_only_the_cli_path():
     code = ("import sys, tropspan.cli; "
             "print(' '.join(sorted(m for m in sys.modules if m.startswith('tropspan.'))))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=ROOT)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [f"tropspan.{name}" for name in (
         "cli", "errors", "matvec", "optimizer", "scheduling", "semiring", "solvers")]

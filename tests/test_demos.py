@@ -1,19 +1,13 @@
 """Every script in demos/ runs to completion against the package in src/."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from support import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(str(demo), timeout=120)
     assert proc.returncode == 0, proc.stderr
