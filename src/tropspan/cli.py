@@ -5,7 +5,7 @@ Subcommands
     ss        initiation-time span under start-start constraints
     combined  completion-time span under both constraint kinds
 
-The input file is a json document {"n": ..., "start_finish": [[...]],
+The input file is a UTF-8 json document {"n": ..., "start_finish": [[...]],
 "start_start": [[...]]} of square arrays.  An entry or --alpha must be
 a max-plus carrier element other than -inf, that is, a finite number
 within the float range; only start_start admits null, for no lag.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import (InvariantViolation, NotIrreducible, NotRegular, NotSquare,
@@ -84,7 +85,7 @@ def _build_parser() -> _Parser:
 def _load_project(path: str) -> tuple[Project, int | float]:
     """The project in the file at `path` and the largest |entry| it holds."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -162,6 +163,12 @@ def _plain(v):
     return v
 
 
+def _plain_list(values) -> list:
+    """The list of `values`, through `_plain` only if one of them is a float."""
+    values = list(values)
+    return list(map(_plain, values)) if float in map(type, values) else values
+
+
 def _dispatch(command: str, project: Project):
     if command == "sf":
         if project.start_finish is None:
@@ -188,8 +195,8 @@ def _document(report, closure, completion_matrix, alpha, latest) -> dict:
     for fam in report.families:
         bounds = shifted.get(id(fam.upper_bounds))
         if bounds is None:
-            bounds = shifted[id(fam.upper_bounds)] = [
-                _plain(mul(alpha, b)) for b in fam.upper_bounds]
+            bounds = shifted[id(fam.upper_bounds)] = _plain_list(
+                map(mul, repeat(alpha), fam.upper_bounds))
         families.append({"pinned_index": fam.pinned_index + 1,
                          "pinned_value": bounds[fam.pinned_index], "upper_bounds": bounds})
     schedules = (latest_schedule(report, closure, completion_matrix, alpha)
@@ -202,9 +209,9 @@ def _document(report, closure, completion_matrix, alpha, latest) -> dict:
         "schedules": [],
     }
     for sched in schedules:
-        entry = {"initiation": [_plain(v) for v in sched.initiation.entries()]}
+        entry = {"initiation": _plain_list(chain.from_iterable(sched.initiation.data))}
         if sched.completion is not None:
-            entry["completion"] = [_plain(v) for v in sched.completion.entries()]
+            entry["completion"] = _plain_list(chain.from_iterable(sched.completion.data))
         entry["span"] = _plain(sched.span)
         doc["schedules"].append(entry)
     return doc
@@ -214,13 +221,17 @@ def _status_document(status: str) -> dict:
     return {"status": status, "delta": None, "pairs": [], "families": [], "schedules": []}
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _json_text(doc: dict) -> str:
     """The text of json.dumps(doc, indent=2), writing each list object once.
 
     The families of one row share one bounds list, so the memo, keyed by
     the list and its depth, writes each row's bounds once.  The numbers
-    are finite ints and floats, whose repr is their json form; strings
-    and None go through json.dumps.
+    are finite ints and floats, whose repr is their json form; a list of
+    numbers only is written in one pass, by one join over their reprs.
+    Strings, bools and None go through json.dumps.
     """
     memo: dict[tuple[int, str], str] = {}
     keys: dict[str, str] = {}
@@ -240,7 +251,11 @@ def _json_text(doc: dict) -> str:
             slot = (id(node), indent)
             text = memo.get(slot)
             if text is None:
-                items = (",\n" + inner).join(write(v, inner) for v in node)
+                # by type, not isinstance: a bool must be written as json
+                if set(map(type, node)) <= _NUMBER_TYPES:
+                    items = (",\n" + inner).join(map(repr, node))
+                else:
+                    items = (",\n" + inner).join(write(v, inner) for v in node)
                 text = memo[slot] = (f"[\n{inner}{items}\n{indent}]" if node else "[]")
             return text
         if kind is dict:

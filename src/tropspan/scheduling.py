@@ -16,6 +16,7 @@ the member with the latest initiation times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InvariantViolation, NotIrreducible, NotSquare, ShapeMismatch
 from .matvec import Matrix, asterate, is_irreducible
@@ -113,6 +114,11 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     attaches completions when `start_finish` is given.  Families that
     produce identical schedules are collapsed; distinct ones are all
     returned, in family order.
+
+    Alpha is checked once.  Each distinct bounds vector is checked and
+    shifted once, with the checks and messages of `Matrix` and
+    `Matrix.scale`, but without building a `Matrix` for a vector that
+    holds no 𝟘 and only carrier elements.
     """
     if not report.families:
         raise ValueError("the report contains no solution families")
@@ -122,15 +128,23 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     alpha = sf.canonical(alpha)
     if sf.is_zero(alpha):
         raise ValueError("alpha must exceed the semifield zero")
+    if not sf.contains(alpha):
+        raise ValueError(f"{alpha!r} is not a {sf.name} carrier element")
+    contains, mul, zero = sf.contains, sf.mul, sf.zero
     # a family's largest member is its bounds vector, so families that
     # share bounds (all pairs with the same row s) share their schedule
     seen_bounds = set()
     out: dict[tuple[Matrix, Matrix | None], Schedule] = {}
     for fam in report.families:
-        if fam.upper_bounds in seen_bounds:
+        bounds = fam.upper_bounds
+        if bounds in seen_bounds:
             continue
-        seen_bounds.add(fam.upper_bounds)
-        member = fam.max_member().scale(alpha)
+        seen_bounds.add(bounds)
+        if zero in bounds or not all(map(contains, bounds)):
+            # the constructor canonicalises 𝟘 or raises its own message
+            bounds = fam.max_member().entries()
+        # zip of one iterable yields the 1-tuples of a column's rows
+        member = Matrix._wrap(sf, tuple(zip(map(mul, repeat(alpha), bounds))))
         x = closure @ member if closure is not None else member
         y = start_finish @ x if start_finish is not None else None
         out.setdefault((x, y), Schedule(x, y, report.delta))

@@ -237,6 +237,10 @@ def _documents():
     # one list object at three depths: the writer's memo must tell them apart
     yield {"bounds": bounds, "nested": [bounds, {"deeper": [bounds]}],
            "families": shared["families"], "empty": [], "none": {}}
+    # number lists are written by repr in one pass, picked by type: an int and
+    # an equal float print differently, and bools and None are not numbers
+    yield {"tied": [2**60, 2.0**60], "flags": [True, False, None], "mixed": [0, True, 1.5],
+           "floats": [1e16, 1e-07, -0.0]}
 
 
 def test_json_writer_matches_json_dumps():
@@ -244,7 +248,7 @@ def test_json_writer_matches_json_dumps():
     for doc in _documents():
         assert _json_text(doc) == json.dumps(doc, indent=2)
         count += 1
-    assert count == 3 * 25 * 4 + 2 + 2
+    assert count == 3 * 25 * 4 + 2 + 3
 
 
 def test_round_trip_preserves_values_exactly():
@@ -267,6 +271,26 @@ def test_integer_values_serialize_without_decimal_point():
         text = (GOLDEN / f"{name}.json").read_text()
         assert "." not in text
         assert only_ints(json.loads(text))
+
+
+def test_integral_floats_print_as_ints(tmp_path, capsys):
+    # alpha 0.5 shifts the bound -0.5 to the float 0.0, printed as 0 beside -0.5
+    path = tmp_path / "halves.json"
+    path.write_text('{"n": 2, "start_finish": [[0.5, 1], [1.5, 0.25]]}')
+    assert main(["sf", "--input", str(path), "--latest", "--alpha", "0.5"]) == EXIT_OK
+    compact = json.dumps(json.loads(capsys.readouterr().out), separators=(",", ":"))
+    assert compact == (
+        '{"status":"ok","delta":1,"pairs":[{"k":1,"s":1}],"families":[{"pinned_index":1,'
+        '"pinned_value":0,"upper_bounds":[0,-0.5]}],"schedules":[{"initiation":[0,-0.5],'
+        '"completion":[0.5,1.5],"span":1}]}')
+
+
+def test_input_is_read_as_utf8_whatever_the_locale():
+    # the warning, raised as an error, flags a read that decodes by the locale
+    proc = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                      "-m", "tropspan.cli", *GOLDEN_RUNS[0][1])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == (GOLDEN / "ex1.json").read_text()
 
 
 def test_installed_entry_point_runs():

@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from tropspan import (InvariantViolation, Matrix, NotIrreducible, NotSquare,
-                      Project, Schedule, ShapeMismatch, SolutionReport, TrConditionViolated,
-                      latest_schedule, max_completion_spread,
+from tropspan import (BoxFamily, InvariantViolation, Matrix, NotIrreducible,
+                      NotSquare, Project, Schedule, ShapeMismatch, SolutionReport,
+                      TrConditionViolated, latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
                       max_plus)
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, mp,
@@ -176,23 +176,56 @@ def _latest_schedule_per_family(report, closure, start_finish, alpha):
     return out
 
 
-@pytest.mark.parametrize("alpha", [0, 7])
+def _typed(schedules):
+    """Schedules as (value, type) pairs: Matrix equality takes 2 == 2.0,
+    but the CLI prints the two differently."""
+    def entries(m):
+        return None if m is None else [(v, type(v)) for v in m.entries()]
+    return [(entries(s.initiation), entries(s.completion), s.span, type(s.span))
+            for s in schedules]
+
+
+@pytest.mark.parametrize("alpha", [0, 7, 2.5, 2**60 + 1])
 def test_latest_schedule_matches_per_family_reference(alpha):
     rng = random.Random(alpha)
+    runs = []
     for n in range(1, 13):
         for rows in ([[0] * n for _ in range(n)],
                      [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]):
             a = mp(rows)
             c = mp([[-v for v in row] for row in rows])   # dense, every cycle <= 0
             tied = mp([[0] * n for _ in range(n)])        # its own star closure
-            runs = [(max_completion_spread(a), None, a),
-                    (*max_initiation_spread(c), None),
-                    (*max_completion_spread_constrained(a, c), a),
-                    # maps distinct bounds with equal maxima to one schedule
-                    (max_completion_spread(a), tied, a)]
-            for report, closure, start_finish in runs:
-                assert (latest_schedule(report, closure, start_finish, alpha)
-                        == _latest_schedule_per_family(report, closure, start_finish, alpha))
+            runs += [(max_completion_spread(a), None, a),
+                     (*max_initiation_spread(c), None),
+                     (*max_completion_spread_constrained(a, c), a),
+                     # maps distinct bounds with equal maxima to one schedule
+                     (max_completion_spread(a), tied, a)]
+    for n in (24, 40):
+        for rows in ([[0] * n for _ in range(n)],
+                     [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]):
+            a = mp(rows)
+            runs.append((max_completion_spread(a), None, a))
+    for report, closure, start_finish in runs:
+        assert (_typed(latest_schedule(report, closure, start_finish, alpha))
+                == _typed(_latest_schedule_per_family(report, closure, start_finish, alpha)))
+
+
+def test_latest_schedule_builds_no_matrix_through_the_constructor(monkeypatch):
+    rng = random.Random(5)
+    a = mp([[rng.randint(0, 2) for _ in range(40)] for _ in range(40)])
+    report = max_completion_spread(a)
+    assert len({fam.upper_bounds for fam in report.families}) > 1
+    calls = []
+    init = Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    schedules = latest_schedule(report, start_finish=a, alpha=3)
+    assert schedules
+    assert calls == []
 
 
 def test_all_tied_families_collapse_to_one_schedule():
@@ -207,9 +240,19 @@ def test_latest_schedule_rejects_degenerate_arguments():
     report = max_completion_spread(mp(START_FINISH))
     with pytest.raises(ValueError):
         latest_schedule(report, alpha=float("-inf"))
+    for alpha, text in ((float("inf"), "inf"), (float("nan"), "nan"), (True, "True")):
+        with pytest.raises(ValueError,
+                           match=f"^{text} is not a max-plus carrier element$"):
+            latest_schedule(report, alpha=alpha)
     empty = SolutionReport(0, (), ())
     with pytest.raises(ValueError):
         latest_schedule(empty)
+    # the solvers never put +inf in a bounds vector; a hand-built report can
+    infinite = SolutionReport(0, ((0, 0),),
+                              (BoxFamily(max_plus, 0, (0, float("inf"), 1)),))
+    with pytest.raises(ValueError, match="^entry at row 2, column 1 is not a "
+                                         "max-plus carrier element: inf$"):
+        latest_schedule(infinite)
 
 
 def test_project_validation():
