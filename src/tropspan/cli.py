@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (InvariantViolation, NotIrreducible, NotRegular, NotSquare,
@@ -130,7 +131,13 @@ def _require_in_range(n: int, largest, alpha, path: str) -> None:
 def _parse_matrix(raw: dict, key: str, n: int, path: str,
                   allow_null: bool) -> tuple[Matrix | None, int | float]:
     """The matrix under `key` and its largest |entry|, in one pass that
-    checks each entry by `_admits` and maps null to 𝟘."""
+    checks each entry by `_admits` and maps null to 𝟘.
+
+    A row of admitted numbers only is checked by one `contains_all`
+    (after a scan for null, which sends most start_start rows straight
+    to the entry loop) and one test for 𝟘; any other row goes entry
+    by entry, so the first refused entry in row-major order gives the
+    message."""
     rows = raw.get(key)
     if rows is None:
         return None, 0
@@ -140,6 +147,12 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise _ParseFailure(f"{path}: row {i + 1} of '{key}' must hold {n} entries")
+        if None not in row and max_plus.contains_all(row) and max_plus.zero not in row:
+            # every entry admitted: max keeps the first of equal |entries|, as below
+            top = max(map(abs, row))
+            if top > largest:
+                largest = top
+            continue
         for j, v in enumerate(row):
             if v is None:
                 if not allow_null:
@@ -231,6 +244,10 @@ def _json_text(doc: dict) -> str:
     the list and its depth, writes each row's bounds once.  The numbers
     are finite ints and floats, whose repr is their json form; a list of
     numbers only is written in one pass, by one join over their reprs.
+    A list of dicts that all have the same keys in the same order (the
+    pairs, the families, the schedules) is written by one `%` template
+    per list, filled column by column: `%r` for a column of numbers
+    only, and the written text of each value for any other column.
     Strings, bools and None go through json.dumps.
     """
     memo: dict[tuple[int, str], str] = {}
@@ -242,6 +259,26 @@ def _json_text(doc: dict) -> str:
             text = keys[k] = json.dumps(k) + ": "
         return text
 
+    def like_dicts(node: list, indent: str):
+        """The rows of a list of dicts with one key order, or None."""
+        order = tuple(node[0])
+        # tuples, not keys() views: views compare as sets, blind to order
+        if not order or not all(map(order.__eq__, map(tuple, node))):
+            return None
+        inner = indent + "  "
+        fields, columns = [], []
+        for k in order:
+            column = list(map(itemgetter(k), node))
+            if set(map(type, column)) <= _NUMBER_TYPES:
+                spec = "%r"
+            else:
+                spec = "%s"
+                column = list(map(write, column, repeat(inner)))
+            fields.append(quoted(k).replace("%", "%%") + spec)
+            columns.append(column)
+        template = f"{{\n{inner}" + (",\n" + inner).join(fields) + f"\n{indent}}}"
+        return map(template.__mod__, zip(*columns))
+
     def write(node, indent: str) -> str:
         kind = type(node)
         if kind is int or kind is float:
@@ -252,10 +289,12 @@ def _json_text(doc: dict) -> str:
             text = memo.get(slot)
             if text is None:
                 # by type, not isinstance: a bool must be written as json
-                if set(map(type, node)) <= _NUMBER_TYPES:
-                    items = (",\n" + inner).join(map(repr, node))
-                else:
-                    items = (",\n" + inner).join(write(v, inner) for v in node)
+                kinds = set(map(type, node))
+                if kinds <= _NUMBER_TYPES:
+                    rows = map(repr, node)
+                elif kinds != {dict} or (rows := like_dicts(node, inner)) is None:
+                    rows = (write(v, inner) for v in node)
+                items = (",\n" + inner).join(rows)
                 text = memo[slot] = (f"[\n{inner}{items}\n{indent}]" if node else "[]")
             return text
         if kind is dict:

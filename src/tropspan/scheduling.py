@@ -115,10 +115,12 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     produce identical schedules are collapsed; distinct ones are all
     returned, in family order.
 
-    Alpha is checked once.  Each distinct bounds vector is checked and
-    shifted once, with the checks and messages of `Matrix` and
-    `Matrix.scale`, but without building a `Matrix` for a vector that
-    holds no 𝟘 and only carrier elements.
+    Alpha is checked once.  Each distinct bounds vector is checked, by
+    one `contains_all`, and shifted once, with the checks and messages
+    of `Matrix` and `Matrix.scale`, but without building a `Matrix` for
+    a vector that holds no 𝟘 and only carrier elements.  A bounds tuple
+    object already seen (the families of one row share one) is skipped
+    by its `id`, before it is hashed by value.
     """
     if not report.families:
         raise ValueError("the report contains no solution families")
@@ -130,17 +132,21 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
         raise ValueError("alpha must exceed the semifield zero")
     if not sf.contains(alpha):
         raise ValueError(f"{alpha!r} is not a {sf.name} carrier element")
-    contains, mul, zero = sf.contains, sf.mul, sf.zero
+    mul, zero = sf.mul, sf.zero
     # a family's largest member is its bounds vector, so families that
     # share bounds (all pairs with the same row s) share their schedule
+    seen_ids: set[int] = set()
     seen_bounds = set()
     out: dict[tuple[Matrix, Matrix | None], Schedule] = {}
     for fam in report.families:
         bounds = fam.upper_bounds
+        if id(bounds) in seen_ids:
+            continue
+        seen_ids.add(id(bounds))
         if bounds in seen_bounds:
             continue
         seen_bounds.add(bounds)
-        if zero in bounds or not all(map(contains, bounds)):
+        if zero in bounds or not sf.contains_all(bounds):
             # the constructor canonicalises 𝟘 or raises its own message
             bounds = fam.max_member().entries()
         # zip of one iterable yields the 1-tuples of a column's rows

@@ -22,15 +22,17 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
-Besides the scalar operations, every semifield has two vector
-operations, the inner loops of matrix products and closures:
+Besides the scalar operations, every semifield has three vector
+operations, the inner loops of matrix products, closures and checks:
 
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
     add_scaled(x, s, y)   the list of xⱼ ⊕ s ⊗ yⱼ
+    contains_all(v)       whether every vⱼ is a carrier element
 
-Their generic default is a plain loop over `add` and `mul`.  `max_plus`
-overrides both with builtins (`max` over `operator.add`, and one
-comparison per entry), which gives the same values.  In both, as in
+Their generic default is a plain loop over `add`, `mul` or `contains`.
+`max_plus` overrides all three with builtins (`max` over `operator.add`,
+one comparison per entry, and `math.isfinite` with a `min`/`max` range
+check), which gives the same values.  In `dot` and `add_scaled`, as in
 `add`, the left operand wins a tie: the earlier term of a dot product,
 and xⱼ over s ⊗ yⱼ.  Ties matter because an int and an equal float
 (2**60 and 2.0**60) compare equal but print differently.
@@ -50,6 +52,8 @@ from typing import Iterable, Sequence
 from .errors import InversionOfZero
 
 Scalar = int | float
+
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _is_number(a: object) -> bool:
@@ -116,6 +120,10 @@ class Semifield:
         add, mul = self.add, self.mul
         return [add(a, mul(s, b)) for a, b in zip(x, y)]
 
+    def contains_all(self, values: Sequence[object]) -> bool:
+        """True when every entry of `values` is a carrier element."""
+        return all(map(self.contains, values))
+
     def __repr__(self) -> str:
         return f"<{self.name} semifield>"
 
@@ -145,6 +153,22 @@ class _MaxPlus(Semifield):
 
     def contains(self, a):
         return _is_number(a) and a < math.inf
+
+    def contains_all(self, values):
+        # by type, not isinstance: bools, float subclasses and strings
+        # take the generic loop
+        if not set(map(type, values)) <= _NUMBER_TYPES:
+            return super().contains_all(values)
+        finite = list(filter(self.zero.__ne__, values))
+        if not finite:
+            return True
+        try:
+            if not all(map(math.isfinite, finite)):   # NaN or +inf
+                return False
+        except OverflowError:   # an int too large to convert to a float
+            return False
+        # exact: an int just past the largest float converts without overflow
+        return -sys.float_info.max <= min(finite) and max(finite) <= sys.float_info.max
 
 
 class _MinPlus(Semifield):

@@ -241,6 +241,19 @@ def _documents():
     # an equal float print differently, and bools and None are not numbers
     yield {"tied": [2**60, 2.0**60], "flags": [True, False, None], "mixed": [0, True, 1.5],
            "floats": [1e16, 1e-07, -0.0]}
+    # a list of like dicts is written by one template per list: it must keep
+    # each dict's own key order, escape a key's "%", and fall back for any
+    # list whose dicts differ in keys or order, or that holds more than dicts
+    yield {"orders": [{"a": 1, "b": 2}, {"b": 3, "a": 4}]}
+    yield {"keys": [{"100%": 1, "{x}": [1, 2], "%s%%": "s"},
+                    {"100%": 2.5, "{x}": [], "%s%%": None}]}
+    yield {"flags": [{"v": True}, {"v": 1}, {"v": 1.0}]}
+    yield {"mixed": [{"a": 1}, 2, {"a": 3}]}
+    yield {"inner": [{"a": 1}, {}, {"a": 2}], "first": [{}, {"a": 1}], "all": [{}, {}]}
+    tied = Matrix(max_plus, [[0] * 40 for _ in range(40)])
+    full = _document(*_dispatch("sf", Project(40, start_finish=tied)), 3, True)
+    assert len(full["families"]) == 1600
+    yield full
 
 
 def test_json_writer_matches_json_dumps():
@@ -248,7 +261,63 @@ def test_json_writer_matches_json_dumps():
     for doc in _documents():
         assert _json_text(doc) == json.dumps(doc, indent=2)
         count += 1
-    assert count == 3 * 25 * 4 + 2 + 3
+    assert count == 3 * 25 * 4 + 2 + 3 + 6
+
+
+def _parse_per_entry(rows):
+    """Reference: the matrix data and largest |entry| of an admitted
+    matrix, entry by entry in row-major order."""
+    largest = 0
+    data = []
+    for row in rows:
+        for v in row:
+            if v is not None and abs(v) > largest:
+                largest = abs(v)
+        data.append(tuple(max_plus.zero if v is None else v for v in row))
+    return tuple(data), largest
+
+
+def test_row_check_matches_the_per_entry_parse(tmp_path):
+    from tropspan.cli import _load_project
+    rng = random.Random(17)
+    # ints and floats of equal magnitude tie for the largest |entry|, whose
+    # type must be the first one in row-major order
+    entries = (3, 3.0, -3, -3.0, 0, 0.0, -0.0, 2.5, -2.5, 1, 2**60, 2.0**60, -2**60)
+    path = tmp_path / "p.json"
+
+    def typed(data):
+        return [[(v, type(v)) for v in row] for row in data]
+
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        c = [[None if rng.random() < 0.3 else rng.choice(entries) for _ in range(n)]
+             for _ in range(n)]
+        path.write_text(json.dumps({"n": n, "start_finish": a, "start_start": c}))
+        project, largest = _load_project(str(path))
+        a_data, a_largest = _parse_per_entry(json.loads(json.dumps(a)))
+        c_data, c_largest = _parse_per_entry(json.loads(json.dumps(c)))
+        assert typed(project.start_finish.data) == typed(a_data)
+        assert typed(project.start_start.data) == typed(c_data)
+        want = max(a_largest, c_largest)
+        assert (largest, type(largest)) == (want, type(want))
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("[[1, 2, 3], [4, 5.5, \"x\"], [true, 7, 8]]",
+     "entry at row 2, column 3 of 'start_finish' must be a finite number or null"),
+    ("[[1, 2, 3], [4, 5, 1e999], [6, 7, 8]]",
+     "entry at row 2, column 3 of 'start_finish' must be a finite number or null"),
+    ("[[1, 2, 3], [4, 5, null], [6, 7, \"x\"]]",
+     "'start_finish' does not admit null (row 2, column 3)"),
+    ("[[1, 2, 3], [4, 5, 6], [7, 8, " + JUST_BEYOND_FLOAT + "]]",
+     "entry at row 3, column 3 of 'start_finish' must be a finite number or null"),
+])
+def test_first_refused_entry_of_a_row_gives_the_message(tmp_path, rows, message, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "start_finish": %s}' % rows)
+    assert main(["sf", "--input", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_round_trip_preserves_values_exactly():

@@ -236,6 +236,45 @@ def test_all_tied_families_collapse_to_one_schedule():
     assert sched.initiation == col([0] * 40)
 
 
+class _CountedHash(tuple):
+    """A bounds tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedHash.hashes += 1
+        return super().__hash__()
+
+
+def test_latest_schedule_skips_seen_bounds_before_hashing(monkeypatch):
+    shared = _CountedHash((0, 1, 2))
+    families = []
+    for k in range(3):
+        fam = BoxFamily(max_plus, k, (0, 1, 2))
+        object.__setattr__(fam, "upper_bounds", shared)
+        families.append(fam)
+    # equal bounds in a distinct object: only the dedup by value catches it
+    families.append(BoxFamily(max_plus, 0, (0, 1, 2)))
+    assert families[3].upper_bounds is not shared
+    report = SolutionReport(2, tuple((k, 0) for k in range(4)), tuple(families))
+    closure = mp([[0, -1, -2], [-1, 0, -1], [-2, -1, 0]])
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    _CountedHash.hashes = 0
+    sched, = latest_schedule(report, closure, alpha=1)
+    # the lookup and the insertion of the first family only; the next two
+    # share its object and are skipped by id
+    assert _CountedHash.hashes == 2
+    assert len(products) == 1
+    assert sched.initiation == col([1, 2, 3])
+
+
 def test_latest_schedule_rejects_degenerate_arguments():
     report = max_completion_spread(mp(START_FINISH))
     with pytest.raises(ValueError):

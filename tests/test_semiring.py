@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tropspan import INSTANCES, InversionOfZero, Semifield, max_plus, max_times, min_plus
 
@@ -121,6 +122,36 @@ def test_max_plus_kernels_keep_the_left_operand_of_a_tie():
         assert typed([max_plus.dot([left, 0], [0, right])]) == typed([left])
         assert typed(max_plus.add_scaled([left], 0, [right])) == typed([left])
         assert typed(max_plus.add_scaled([NEG_INF], 0, [right])) == typed([right])
+
+
+# contains_all against the loop over contains, in every instance
+
+class _Float(float):
+    pass
+
+
+JUST_BEYOND = int(sys.float_info.max) + 1   # converts to the largest float, without overflow
+UNUSUAL = (math.inf, -math.inf, math.nan, True, 10 ** 400, -10 ** 400, JUST_BEYOND,
+           -JUST_BEYOND, _Float(1.5), "1", None)
+
+
+def membership_vectors():
+    ordinary = st.one_of(st.integers(-8, 8),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    return (st.tuples(st.lists(ordinary, max_size=6),
+                      st.lists(st.sampled_from(UNUSUAL), max_size=2))
+            .map(lambda parts: parts[0] + parts[1]).flatmap(st.permutations))
+
+
+@pytest.mark.parametrize("sf", INSTANCES, ids=lambda sf: sf.name)
+@given(values=membership_vectors())
+@example(values=[])
+@example(values=[1, 10 ** 400])
+@example(values=[0.5, JUST_BEYOND])
+@example(values=[-JUST_BEYOND, -math.inf])
+@example(values=[-math.inf, 2, 2.5])
+def test_contains_all_matches_the_loop_over_contains(sf, values):
+    assert sf.contains_all(values) is all(map(sf.contains, values))
 
 
 # ----------------------------------------------------------------------
