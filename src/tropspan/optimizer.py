@@ -105,7 +105,8 @@ class SolutionReport:
 
 
 class ConstrainedReport(NamedTuple):
-    """Report over the reduced variable u plus the closure mapping x = closure ⊗ u."""
+    """Report over u, solved on (A ⊗ closure, B ⊗ closure), plus the
+    closure that maps it back: x = closure ⊗ u."""
 
     report: SolutionReport
     closure: Matrix
@@ -176,23 +177,27 @@ def solve_norm_form(a: Matrix, b: Matrix) -> SolutionReport:
     return solve_unconstrained(inst)
 
 
-def solve_constrained(inst: ProblemInstance, c: Matrix) -> ConstrainedReport:
-    """Maximize the objective subject to C ⊗ x ≤ x.
+def solve_constrained(a: Matrix, b: Matrix, p: Matrix, q: Matrix,
+                      c: Matrix) -> ConstrainedReport:
+    """Maximize the objective on raw (A, B, p, q) subject to C ⊗ x ≤ x.
 
     Feasibility requires that C has no cycle heavier than 𝟙, which
     `asterate` checks; then x = C* ⊗ u sweeps the feasible regular
     vectors and the problem reduces to the unconstrained one on
-    (A ⊗ C*, B ⊗ C*), solved in u.  The returned closure C* maps
-    reported u back to x.
+    (A ⊗ C*, B ⊗ C*), solved in u.  `ProblemInstance`'s preconditions
+    apply to these reduced matrices, so A may hold 𝟘 entries that C*
+    fills.  When B is A, A ⊗ C* is formed once.  C* maps u back to x.
     """
     if c.rows != c.cols:
         raise NotSquare("the constraint matrix must be square")
-    if c.cols != inst.n:
+    if c.cols != a.cols:
         raise ShapeMismatch(
-            f"the constraint matrix must be {inst.n}x{inst.n} to match the instance")
+            f"the constraint matrix must be {a.cols}x{a.cols} to match the instance")
     closure = asterate(c)
-    reduced = ProblemInstance(inst.A @ closure, inst.B @ closure, inst.p, inst.q)
-    return ConstrainedReport(solve_unconstrained(reduced), closure)
+    ac = a @ closure
+    bc = ac if b is a else b @ closure
+    require_zero_free(ac, "product of matrix A and the constraint closure")
+    return ConstrainedReport(solve_unconstrained(ProblemInstance(ac, bc, p, q)), closure)
 
 
 def require_zero_free(m: Matrix, label: str) -> None:

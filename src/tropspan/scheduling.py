@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import InvariantViolation, NotIrreducible, NotSquare, ShapeMismatch
-from .matvec import Matrix, asterate, is_irreducible
+from .matvec import Matrix, asterate, is_irreducible, ones
 from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
-                        solve_norm_form)
+                        solve_constrained, solve_norm_form)
 from .semiring import Scalar
 
 
@@ -82,26 +82,19 @@ def max_initiation_spread(c: Matrix) -> ConstrainedReport:
 def max_completion_spread_constrained(a: Matrix, c: Matrix) -> ConstrainedReport:
     """Maximize the completion span under both constraint kinds.
 
-    Requires a row-regular A and a feasible C; with D = A ⊗ C*
-    (which must come out free of zero entries) the optimum is ‖D ⊗ D⁻‖.
-    The report is over u, with x = closure ⊗ u and y = D ⊗ u.
+    Requires a row-regular A and a feasible C.  This is
+    `solve_constrained(A, A, 𝟙, 𝟙, C)`: with D = A ⊗ C* (which must
+    come out free of zero entries) the optimum is ‖D ⊗ D⁻‖.  The report
+    is over u, with x = closure ⊗ u and y = D ⊗ u.
     """
-    if c.rows != c.cols:
-        raise NotSquare("the start-start matrix must be square")
-    if a.cols != c.rows:
-        raise ShapeMismatch(
-            f"the start-finish matrix has {a.cols} columns but the "
-            f"start-start matrix is {c.rows}x{c.cols}")
     if not a.is_row_regular():
         i = next(i for i, row in enumerate(a.data)
                  if all(v == a.sf.zero for v in row))
         raise InvariantViolation(
             f"start-finish matrix must be row regular; row {i + 1} "
             f"contains only zero entries")
-    closure = asterate(c)
-    d = a @ closure
-    require_zero_free(d, "product of the start-finish matrix and the constraint closure")
-    return ConstrainedReport(solve_norm_form(d, d), closure)
+    unit = ones(a.sf, a.rows)
+    return solve_constrained(a, a, unit, unit, c)
 
 
 def latest_schedule(report: SolutionReport, closure: Matrix | None = None,

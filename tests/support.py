@@ -76,6 +76,16 @@ def random_zero_free(rng: random.Random, rows, cols, lo=-10, hi=10):
     return mp([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+def random_row_regular(rng: random.Random, rows, cols, lo=-10, hi=10, zero_prob=0.5):
+    """Integer matrix with 𝟘 entries but at least one finite entry per row."""
+    out = [[NEG_INF if rng.random() < zero_prob else rng.randint(lo, hi)
+            for _ in range(cols)] for _ in range(rows)]
+    for row in out:
+        if all(v == NEG_INF for v in row):
+            row[rng.randrange(cols)] = rng.randint(lo, hi)
+    return mp(out)
+
+
 def _cycle_pattern(rng: random.Random, n, extra_prob=0.3):
     """Arc set of a strongly connected digraph on n nodes (full cycle
     plus extras), as the (i, j) index pairs of nonzero matrix entries."""

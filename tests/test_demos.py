@@ -1,13 +1,26 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ and every python block of README.md runs to
+completion against the package in src/."""
+
+import re
 
 import pytest
 
 from support import ROOT, run_python
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.MULTILINE | re.DOTALL)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     proc = run_python(str(demo), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs(block):
+    proc = run_python("-c", block, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -4,13 +4,15 @@ from itertools import product
 import pytest
 
 from tropspan import (InvariantViolation, Matrix, NotRegular, NotSquare,
-                      ProblemInstance, ShapeMismatch, evaluate_objective, max_plus,
-                      ones, solve_constrained, solve_norm_form, solve_unconstrained)
+                      ProblemInstance, ShapeMismatch, evaluate_objective,
+                      max_completion_spread_constrained, max_plus, ones,
+                      solve_constrained, solve_norm_form, solve_unconstrained)
 from oracles import GridSpec, brute_force_max, solve_scalar_equation
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col,
                      counted_products, mp,
                      random_feasible_constraint, random_instance,
-                     random_regular_column, raw_objective)
+                     random_regular_column, random_row_regular, raw_objective,
+                     raw_span)
 
 
 def norm_form_instance(rows):
@@ -222,19 +224,33 @@ def test_small_instances_match_the_grid_oracle(seed):
 
 def test_constrained_worked_example():
     a = mp(START_FINISH)
-    inst = ProblemInstance(a, a, ones(max_plus, 3), ones(max_plus, 3))
-    report, closure = solve_constrained(inst, mp(START_START))
+    unit = ones(max_plus, 3)
+    report, closure = solve_constrained(a, a, unit, unit, mp(START_START))
     assert closure == mp(SS_STAR)
     assert report.delta == 2
     assert report.pairs == ((0, 2), (2, 2))
     assert report.families[0].upper_bounds == (-2, -1, -3)
 
 
+def test_constrained_checks_the_reduced_matrix_not_a():
+    # A holds 𝟘 entries that A ⊗ C* fills, so only the reduced problem is checked
+    a = mp([[0, None], [None, 0]])
+    c = mp([[None, -1], [-1, None]])
+    unit = ones(max_plus, 2)
+    report, closure = solve_constrained(a, a, unit, unit, c)
+    assert closure == mp([[0, -1], [-1, 0]])
+    assert report.delta == 1
+    assert report.pairs == ((0, 1), (1, 0))
+    assert [f.upper_bounds for f in report.families] == [(1, 0), (0, 1)]
+    assert (report, closure) == max_completion_spread_constrained(a, c)
+
+
 def test_constrained_with_vacuous_constraint_reduces_to_unconstrained():
     rng = random.Random(23)
     for _ in range(10):
         inst = random_instance(rng, max_dim=4)
-        report, closure = solve_constrained(inst, Matrix.zeros(max_plus, inst.n, inst.n))
+        report, closure = solve_constrained(inst.A, inst.B, inst.p, inst.q,
+                                            Matrix.zeros(max_plus, inst.n, inst.n))
         assert closure == Matrix.identity(max_plus, inst.n)
         assert report == solve_unconstrained(inst)
 
@@ -251,8 +267,8 @@ def test_constrained_is_idempotent_on_substituted_data():
     # the closure is a fixed point of itself, so feeding the already
     # substituted instance back through the constrained solver changes nothing
     star = mp(SS_STAR)
-    inst = ProblemInstance(star, star, ones(max_plus, 3), ones(max_plus, 3))
-    report, closure = solve_constrained(inst, mp(START_START))
+    unit = ones(max_plus, 3)
+    report, closure = solve_constrained(star, star, unit, unit, mp(START_START))
     assert closure == star
     assert star @ star == star
     assert report.delta == 3
@@ -260,40 +276,94 @@ def test_constrained_is_idempotent_on_substituted_data():
 
 
 def test_constrained_shape_errors():
-    inst = norm_form_instance(START_FINISH)
-    with pytest.raises(NotSquare):
-        solve_constrained(inst, mp([[1, 2]]))
-    with pytest.raises(ShapeMismatch):
-        solve_constrained(inst, mp([[1, 2], [3, 4]]))
+    a = mp(START_FINISH)
+    unit = ones(max_plus, 3)
+    vacuous = Matrix.zeros(max_plus, 3, 3)
+    with pytest.raises(NotSquare, match="^the constraint matrix must be square$"):
+        solve_constrained(a, a, unit, unit, mp([[1, 2]]))
+    with pytest.raises(ShapeMismatch,
+                       match="^the constraint matrix must be 3x3 to match the instance$"):
+        solve_constrained(a, a, unit, unit, mp([[1, 2], [3, 4]]))
+    with pytest.raises(ShapeMismatch,
+                       match="^cannot multiply a 3x2 matrix by a 3x3 matrix$"):
+        solve_constrained(a, mp([[1, 2], [3, 4], [5, 6]]), unit, unit, vacuous)
+    # a reducible C leaves the 𝟘 entries of A in A ⊗ C*
+    with pytest.raises(InvariantViolation,
+                       match="^product of matrix A and the constraint closure must "
+                             "have no zero entries; entry at row 1, column 2 is zero$"):
+        a2, unit2 = mp([[1, None], [0, 2]]), ones(max_plus, 2)
+        solve_constrained(a2, a2, unit2, unit2, mp([[None, None], [0, None]]))
+    with pytest.raises(InvariantViolation,
+                       match="^matrix B must be column regular; column 2 "
+                             "contains only zero entries$"):
+        solve_constrained(a, mp([[1, None, 2], [3, None, 4]]), unit, ones(max_plus, 2),
+                          mp([[None, None, None], [None, None, None], [0, None, None]]))
+    with pytest.raises(InvariantViolation,
+                       match="^vector p must be regular; component 2 is zero$"):
+        solve_constrained(a, a, col([0, None, 0]), unit, vacuous)
+    with pytest.raises(InvariantViolation,
+                       match="^vector q must be regular; component 3 is zero$"):
+        solve_constrained(a, a, unit, col([0, 0, None]), vacuous)
+
+
+def test_constrained_forms_a_times_the_closure_once(monkeypatch):
+    a = mp(START_FINISH)
+    c = mp(START_START)
+    unit = ones(max_plus, 3)
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    max_completion_spread_constrained(a, c)
+    assert len(calls) == 1
+    calls.clear()
+    solve_constrained(a, a, unit, unit, c)
+    assert len(calls) == 1
+    calls.clear()
+    # an equal but distinct B is multiplied on its own
+    solve_constrained(a, mp(START_FINISH), unit, unit, c)
+    assert len(calls) == 2
+
+
+def _constrained_inputs(rng, max_n, lo, hi, extra=5):
+    """A feasible C with a zero-free A, then `extra` feasible C, each with
+    a row-regular A that holds 𝟘 entries where n > 1."""
+    c = random_feasible_constraint(rng, max_n=max_n)
+    n = c.rows
+    yield mp([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]), c
+    for _ in range(extra):
+        c = random_feasible_constraint(rng, max_n=max_n)
+        yield random_row_regular(rng, c.rows, c.rows, lo, hi), c
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_constrained_solutions_are_feasible_and_optimal(seed):
     rng = random.Random(600 + seed)
-    c = random_feasible_constraint(rng, max_n=3)
-    n = c.rows
-    a = mp([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-    inst = ProblemInstance(a, a, ones(max_plus, n), ones(max_plus, n))
-    report, closure = solve_constrained(inst, c)
-    for fam in report.families:
-        for member in family_members(rng, fam):
-            x = closure @ col(member)
-            assert (c @ x).leq(x)
-            assert evaluate_objective(inst, x) == report.delta
+    for a, c in _constrained_inputs(rng, 3, -5, 5):
+        unit = ones(max_plus, c.rows)
+        report, closure = solve_constrained(a, a, unit, unit, c)
+        assert (report, closure) == max_completion_spread_constrained(a, c)
+        for fam in report.families:
+            for member in family_members(rng, fam):
+                x = closure @ col(member)
+                assert (c @ x).leq(x)
+                assert raw_span(a.data, x.entries()) == report.delta
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_constrained_matches_filtered_grid_oracle(seed):
     rng = random.Random(700 + seed)
-    c = random_feasible_constraint(rng, max_n=2)
-    n = c.rows
-    a = mp([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-    inst = ProblemInstance(a, a, ones(max_plus, n), ones(max_plus, n))
-    report, _ = solve_constrained(inst, c)
-    best = max(
-        (raw_objective(inst, x)
-         for x in product(range(-12, 13), repeat=n)
-         if all(max(cij + xj for cij, xj in zip(row, x)) <= xi
-                for row, xi in zip(c.data, x))),
-        default=None)
-    assert best == report.delta
+    for a, c in _constrained_inputs(rng, 2, -3, 3):
+        unit = ones(max_plus, c.rows)
+        report, _ = solve_constrained(a, a, unit, unit, c)
+        best = max(
+            (raw_span(a.data, x)
+             for x in product(range(-12, 13), repeat=c.rows)
+             if all(max(cij + xj for cij, xj in zip(row, x)) <= xi
+                    for row, xi in zip(c.data, x))),
+            default=None)
+        assert best == report.delta

@@ -120,16 +120,31 @@ def test_combined_with_vacuous_constraint():
 
 def test_combined_error_cases():
     a = mp(START_FINISH)
-    with pytest.raises(TrConditionViolated):
+    with pytest.raises(TrConditionViolated,
+                       match="^the closed walk through index 1 has weight 1, "
+                             "which exceeds the unit 0$"):
         max_completion_spread_constrained(a, mp([[1, None, None],
                                                  [None, None, None],
                                                  [None, None, None]]))
-    with pytest.raises(InvariantViolation, match="row regular"):
+    row_regular = ("^start-finish matrix must be row regular; row 1 "
+                   "contains only zero entries$")
+    with pytest.raises(InvariantViolation, match=row_regular):
         max_completion_spread_constrained(
             mp([[None, None], [1, 2]]), Matrix.zeros(max_plus, 2, 2))
-    with pytest.raises(ShapeMismatch):
+    # refused before the closure, so an infeasible C does not mask it
+    with pytest.raises(InvariantViolation, match=row_regular):
+        max_completion_spread_constrained(
+            mp([[None, None], [1, 2]]), mp([[1, None], [None, None]]))
+    # a reducible C leaves a 𝟘 of A in A ⊗ C*
+    with pytest.raises(InvariantViolation,
+                       match="^product of matrix A and the constraint closure must "
+                             "have no zero entries; entry at row 2, column 1 is zero$"):
+        max_completion_spread_constrained(
+            mp([[0, None], [None, 0]]), mp([[None, -1], [None, None]]))
+    with pytest.raises(ShapeMismatch,
+                       match="^the constraint matrix must be 3x3 to match the instance$"):
         max_completion_spread_constrained(a, Matrix.zeros(max_plus, 2, 2))
-    with pytest.raises(NotSquare):
+    with pytest.raises(NotSquare, match="^the constraint matrix must be square$"):
         max_completion_spread_constrained(a, mp([[1, 2]]))
 
 
