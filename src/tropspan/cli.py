@@ -21,7 +21,6 @@ import json
 import sys
 from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 
 from .errors import (InvariantViolation, NotIrreducible, NotRegular, NotSquare,
                      ShapeMismatch, TrConditionViolated, ZeroEntry)
@@ -86,7 +85,8 @@ def _build_parser() -> _Parser:
 def _load_project(path: str) -> tuple[Project, int | float]:
     """The project in the file at `path` and the largest |entry| it holds."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:

@@ -16,7 +16,7 @@ builtins for `max_plus`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import NotSquare, ShapeMismatch, TrConditionViolated, ZeroEntry
 from .semiring import Scalar, Semifield

@@ -12,22 +12,21 @@ The maximum has the closed form delta = q⁻ ⊗ B ⊗ A⁻ ⊗ p and the set of
 maximizers is a finite union of scale-invariant boxes, one for every
 index pair (k, s) attaining the two inner maxima below.  The objective
 is invariant under x ↦ α ⊗ x, so each box stands for its whole ray of
-scalings; families are reported at α = 𝟙.
+scalings; families are reported at α = 𝟙.  The records below are
+immutable `__slots__` classes, like `BoxFamily`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
 from .matvec import Matrix, asterate, ones
 from .semiring import Scalar, Semifield
-from .solvers import BoxFamily
+from .solvers import BoxFamily, _Frozen
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(_Frozen):
     """Data (A, B, p, q) of one maximization problem.
 
     Preconditions are checked on construction: A (m×n) has no zero
@@ -35,34 +34,34 @@ class ProblemInstance:
     and A and B agree on the number of columns.
     """
 
-    A: Matrix
-    B: Matrix
-    p: Matrix
-    q: Matrix
+    __slots__ = ("A", "B", "p", "q")
 
-    def __post_init__(self):
-        a, b, p, q = self.A, self.B, self.p, self.q
-        if not (a.sf is b.sf is p.sf is q.sf):
+    def __init__(self, A: Matrix, B: Matrix, p: Matrix, q: Matrix):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if not (A.sf is B.sf is p.sf is q.sf):
             raise InvariantViolation("all instance data must share one semifield")
-        if a.cols != b.cols:
+        if A.cols != B.cols:
             raise InvariantViolation(
                 f"matrices A and B must have the same number of columns; "
-                f"got {a.cols} and {b.cols}")
+                f"got {A.cols} and {B.cols}")
         if not p.is_column or not q.is_column:
             raise InvariantViolation("p and q must be column vectors")
-        if p.rows != a.rows:
+        if p.rows != A.rows:
             raise InvariantViolation(
                 f"vector p must have one component per row of A; "
-                f"got {p.rows} for {a.rows} rows")
-        if q.rows != b.rows:
+                f"got {p.rows} for {A.rows} rows")
+        if q.rows != B.rows:
             raise InvariantViolation(
                 f"vector q must have one component per row of B; "
-                f"got {q.rows} for {b.rows} rows")
-        require_zero_free(a, "matrix A")
-        zero = a.sf.zero
-        if not b.is_column_regular():
-            j = next(j for j in range(b.cols)
-                     if all(r[j] == zero for r in b.data))
+                f"got {q.rows} for {B.rows} rows")
+        require_zero_free(A, "matrix A")
+        zero = A.sf.zero
+        if not B.is_column_regular():
+            j = next(j for j in range(B.cols)
+                     if all(r[j] == zero for r in B.data))
             raise InvariantViolation(
                 f"matrix B must be column regular; column {j + 1} "
                 f"contains only zero entries")
@@ -89,8 +88,7 @@ class ProblemInstance:
         return self.B.rows
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(_Frozen):
     """The optimum and the complete description of its attainment set.
 
     `pairs` lists every maximizing index pair (k, s), zero based, in
@@ -99,17 +97,20 @@ class SolutionReport:
     any α > 𝟘, is exactly the set of optimal vectors.
     """
 
-    delta: Scalar
-    pairs: tuple[tuple[int, int], ...]
-    families: tuple[BoxFamily, ...]
+    __slots__ = ("delta", "pairs", "families")
+
+    def __init__(self, delta: Scalar, pairs: tuple[tuple[int, int], ...],
+                 families: tuple[BoxFamily, ...]):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "families", families)
 
 
-class ConstrainedReport(NamedTuple):
+class ConstrainedReport(namedtuple("ConstrainedReport", "report closure")):
     """Report over u, solved on (A ⊗ closure, B ⊗ closure), plus the
     closure that maps it back: x = closure ⊗ u."""
 
-    report: SolutionReport
-    closure: Matrix
+    __slots__ = ()
 
 
 def evaluate_objective(inst: ProblemInstance, x: Matrix) -> Scalar:

@@ -10,12 +10,12 @@ A start-start matrix C constrains initiations through C ⊗ x ≤ x, with
 The solvers below maximize the span between the latest and earliest
 completion (or initiation) times and describe every optimal schedule.
 `latest_schedule` extracts the customary representatives: per family,
-the member with the latest initiation times.
+the member with the latest initiation times.  `Project` and `Schedule`
+are immutable `__slots__` records, like `BoxFamily`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import InvariantViolation, NotIrreducible, NotSquare, ShapeMismatch
@@ -23,17 +23,19 @@ from .matvec import Matrix, asterate, is_irreducible, ones
 from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
                         solve_constrained, solve_norm_form)
 from .semiring import Scalar
+from .solvers import _Frozen
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(_Frozen):
     """Activity count plus the constraint matrices that are present."""
 
-    n: int
-    start_finish: Matrix | None = None
-    start_start: Matrix | None = None
+    __slots__ = ("n", "start_finish", "start_start")
 
-    def __post_init__(self):
+    def __init__(self, n: int, start_finish: Matrix | None = None,
+                 start_start: Matrix | None = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "start_finish", start_finish)
+        object.__setattr__(self, "start_start", start_start)
         if self.start_finish is None and self.start_start is None:
             raise ValueError("a project needs at least one constraint matrix")
         for name, m in (("start_finish", self.start_finish),
@@ -43,14 +45,16 @@ class Project:
                     f"{name} must be {self.n}x{self.n}, got {m.rows}x{m.cols}")
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(_Frozen):
     """One concrete schedule: initiation times, completions when defined,
     and the span it achieves."""
 
-    initiation: Matrix
-    completion: Matrix | None
-    span: Scalar
+    __slots__ = ("initiation", "completion", "span")
+
+    def __init__(self, initiation: Matrix, completion: Matrix | None, span: Scalar):
+        object.__setattr__(self, "initiation", initiation)
+        object.__setattr__(self, "completion", completion)
+        object.__setattr__(self, "span", span)
 
 
 def max_completion_spread(a: Matrix) -> SolutionReport:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import InversionOfZero
 
@@ -126,6 +126,10 @@ class Semifield:
 
     def __repr__(self) -> str:
         return f"<{self.name} semifield>"
+
+    def __reduce__(self):
+        # the module-level instance: `Matrix` equality compares semifields by identity
+        return self.name.replace("-", "_")
 
 
 class _MaxPlus(Semifield):

@@ -382,10 +382,32 @@ def test_pinned_value_is_the_bound_at_the_pinned_component(tmp_path, capsys):
         assert fam["pinned_value"] == bound and type(fam["pinned_value"]) is type(bound)
 
 
-def test_cold_import_loads_only_the_cli_path():
-    code = ("import sys, tropspan.cli; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('tropspan.'))))")
-    proc = run_python("-c", code)
+def _modules_after(statement):
+    proc = run_python("-c", f"import sys; {statement}; print(' '.join(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [f"tropspan.{name}" for name in (
-        "cli", "errors", "matvec", "optimizer", "scheduling", "semiring", "solvers")]
+    return set(proc.stdout.split())
+
+
+def test_cold_import_loads_only_the_cli_path():
+    loaded = _modules_after("import tropspan.cli")
+    assert sorted(m for m in loaded if m.startswith("tropspan.")) == [
+        f"tropspan.{name}" for name in (
+            "cli", "errors", "matvec", "optimizer", "scheduling", "semiring", "solvers")]
+    # dataclasses drags in inspect, ast, dis and tokenize: about 10 ms of a cold start
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    # some sites load these through .pth files before any import of ours
+    assert not loaded & ({"typing", "pathlib"} - _modules_after("pass"))
+
+
+def test_unreadable_input_files_exit_4(tmp_path, capsys):
+    missing, latin1 = tmp_path / "missing.json", tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"n": 1, "start_finish": [[\xff]]}')
+    for path, message in [
+            (missing, f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+            (tmp_path, f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"),
+            (latin1, f"{latin1}: not valid text: 'utf-8' codec can't decode byte 0xff "
+                     f"in position 27: invalid start byte")]:
+        assert main(["sf", "--input", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert json.loads(captured.out)["status"] == "invalid_input"
