@@ -27,6 +27,9 @@ GOLDEN_RUNS = [
 ]
 
 
+TEXT_GOLDEN_RUNS = [(name, [*args, "--format", "text"]) for name, args in GOLDEN_RUNS]
+
+
 def run_cli(args):
     return run_python("-m", "tropspan.cli", *args)
 
@@ -44,6 +47,20 @@ def test_repeated_runs_are_deterministic(name, args, capsys):
     first = capsys.readouterr().out
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("name,args", TEXT_GOLDEN_RUNS)
+def test_text_goldens_are_byte_identical(name, args, capsys):
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("text", "txt")])
+@pytest.mark.parametrize("name,code", [("infeasible", EXIT_INFEASIBLE),
+                                       ("reducible", EXIT_INVALID)])
+def test_status_goldens_are_byte_identical(name, code, fmt, suffix, capsys):
+    assert main(["ss", "--input", str(DATA / f"{name}.json"), "--format", fmt]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{suffix}").read_text()
 
 
 def test_infeasible_project_exits_2():
