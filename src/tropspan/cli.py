@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from itertools import chain, repeat
-from operator import itemgetter
 
 from .errors import (InvariantViolation, NotIrreducible, NotRegular, NotSquare,
                      ShapeMismatch, TrConditionViolated, ZeroEntry)
@@ -133,23 +132,28 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
     """The matrix under `key` and its largest |entry|, in one pass that
     checks each entry by `_admits` and maps null to 𝟘.
 
-    A row of admitted numbers only is checked by one `contains_all`
-    (after a scan for null, which sends most start_start rows straight
-    to the entry loop) and one test for 𝟘; any other row goes entry
-    by entry, so the first refused entry in row-major order gives the
-    message."""
+    A row's numbers are checked by one `contains_all` and one test for
+    𝟘, and its nulls, where admitted, mapped in one pass; a row that
+    fails goes entry by entry, so the first refused entry in row-major
+    order gives the message."""
     rows = raw.get(key)
     if rows is None:
         return None, 0
     if not isinstance(rows, list) or len(rows) != n:
         raise _ParseFailure(f"{path}: '{key}' must be a list of {n} rows")
     largest = 0
+    zero = max_plus.zero
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise _ParseFailure(f"{path}: row {i + 1} of '{key}' must hold {n} entries")
-        if None not in row and max_plus.contains_all(row) and max_plus.zero not in row:
-            # every entry admitted: max keeps the first of equal |entries|, as below
-            top = max(map(abs, row))
+        # admitted nulls (every start_start row has one: a project has no
+        # self-lags) stay out of the check; any other null fails contains_all
+        values = [v for v in row if v is not None] if allow_null and None in row else row
+        if max_plus.contains_all(values) and zero not in values:
+            if values is not row:
+                rows[i] = [zero if v is None else v for v in row]
+            # max keeps the first of equal |entries|, as the loop below does
+            top = max(map(abs, values), default=0)
             if top > largest:
                 largest = top
             continue
@@ -159,7 +163,7 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
                     raise _ParseFailure(
                         f"{path}: '{key}' does not admit null "
                         f"(row {i + 1}, column {j + 1})")
-                row[j] = max_plus.zero
+                row[j] = zero
             elif not _admits(v):
                 raise _ParseFailure(
                     f"{path}: entry at row {i + 1}, column {j + 1} of "
@@ -200,130 +204,79 @@ def _dispatch(command: str, project: Project):
     return report, closure, project.start_finish
 
 
-def _document(report, closure, completion_matrix, alpha, latest) -> dict:
-    mul = max_plus.mul
-    # families that share a bounds tuple share its shifted, printable list
-    shifted: dict[int, list] = {}
-    families = []
-    for fam in report.families:
-        bounds = shifted.get(id(fam.upper_bounds))
-        if bounds is None:
-            bounds = shifted[id(fam.upper_bounds)] = _plain_list(
-                map(mul, repeat(alpha), fam.upper_bounds))
-        families.append({"pinned_index": fam.pinned_index + 1,
-                         "pinned_value": bounds[fam.pinned_index], "upper_bounds": bounds})
-    schedules = (latest_schedule(report, closure, completion_matrix, alpha)
-                 if latest else [])
-    doc = {
-        "status": "ok",
-        "delta": _plain(report.delta),
-        "pairs": [{"k": k + 1, "s": s + 1} for k, s in report.pairs],
-        "families": families,
-        "schedules": [],
-    }
-    for sched in schedules:
-        entry = {"initiation": _plain_list(chain.from_iterable(sched.initiation.data))}
-        if sched.completion is not None:
-            entry["completion"] = _plain_list(chain.from_iterable(sched.completion.data))
-        entry["span"] = _plain(sched.span)
-        doc["schedules"].append(entry)
-    return doc
+_STATUS_JSON = ('{\n  "status": "%s",\n  "delta": null,\n  "pairs": [],\n'
+                '  "families": [],\n  "schedules": []\n}\n')
+_DOCUMENT = ('{\n  "status": "ok",\n  "delta": %r,\n  "pairs": %s,\n'
+             '  "families": %s,\n  "schedules": %s\n}\n')
+_PAIR = '{\n      "k": %d,\n      "s": %d\n    }'
+_FAMILY = '{\n      "pinned_index": %d,\n      "pinned_value": %r,\n      "upper_bounds": '
+_SCHEDULE = '{\n      "initiation": %s,%s\n      "span": %r\n    }'
 
 
-def _status_document(status: str) -> dict:
-    return {"status": status, "delta": None, "pairs": [], "families": [], "schedules": []}
+def _list_text(items: list, indent: str) -> str:
+    """The json.dumps(..., indent=2) text of a list at `indent`, from its items' texts."""
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
 
 
-_NUMBER_TYPES = frozenset((int, float))
+def _numbers(values: list) -> str:
+    # finite ints and floats: repr is their json form
+    return _list_text(list(map(repr, values)), "      ")
 
 
-def _json_text(doc: dict) -> str:
-    """The text of json.dumps(doc, indent=2), writing each list object once.
+def _render_status(status: str, fmt: str) -> str:
+    return _STATUS_JSON % status if fmt == "json" else f"status: {status}\n"
 
-    The families of one row share one bounds list, so the memo, keyed by
-    the list and its depth, writes each row's bounds once.  The numbers
-    are finite ints and floats, whose repr is their json form; a list of
-    numbers only is written in one pass, by one join over their reprs.
-    A list of dicts that all have the same keys in the same order (the
-    pairs, the families, the schedules) is written by one `%` template
-    per list, filled column by column: `%r` for a column of numbers
-    only, and the written text of each value for any other column.
-    Strings, bools and None go through json.dumps.
+
+def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
+    """The json or text output of a solved run, written straight from the report.
+
+    The families of one row share one bounds tuple, so each distinct
+    tuple is shifted by alpha, made printable and written once, keyed
+    by its id; each pair and each family is then one template fill.
     """
-    memo: dict[tuple[int, str], str] = {}
-    keys: dict[str, str] = {}
-
-    def quoted(k: str) -> str:
-        text = keys.get(k)
-        if text is None:
-            text = keys[k] = json.dumps(k) + ": "
-        return text
-
-    def like_dicts(node: list, indent: str):
-        """The rows of a list of dicts with one key order, or None."""
-        order = tuple(node[0])
-        # tuples, not keys() views: views compare as sets, blind to order
-        if not order or not all(map(order.__eq__, map(tuple, node))):
-            return None
-        inner = indent + "  "
-        fields, columns = [], []
-        for k in order:
-            column = list(map(itemgetter(k), node))
-            if set(map(type, column)) <= _NUMBER_TYPES:
-                spec = "%r"
-            else:
-                spec = "%s"
-                column = list(map(write, column, repeat(inner)))
-            fields.append(quoted(k).replace("%", "%%") + spec)
-            columns.append(column)
-        template = f"{{\n{inner}" + (",\n" + inner).join(fields) + f"\n{indent}}}"
-        return map(template.__mod__, zip(*columns))
-
-    def write(node, indent: str) -> str:
-        kind = type(node)
-        if kind is int or kind is float:
-            return repr(node)
-        inner = indent + "  "
-        if kind is list:
-            slot = (id(node), indent)
-            text = memo.get(slot)
-            if text is None:
-                # by type, not isinstance: a bool must be written as json
-                kinds = set(map(type, node))
-                if kinds <= _NUMBER_TYPES:
-                    rows = map(repr, node)
-                elif kinds != {dict} or (rows := like_dicts(node, inner)) is None:
-                    rows = (write(v, inner) for v in node)
-                items = (",\n" + inner).join(rows)
-                text = memo[slot] = (f"[\n{inner}{items}\n{indent}]" if node else "[]")
-            return text
-        if kind is dict:
-            items = (",\n" + inner).join(quoted(k) + write(v, inner) for k, v in node.items())
-            return f"{{\n{inner}{items}\n{indent}}}" if node else "{}"
-        return json.dumps(node)
-
-    return write(doc, "")
-
-
-def _render(doc: dict, fmt: str, u_space: bool) -> str:
+    mul = max_plus.mul
+    shifted: dict[int, list] = {}
+    for fam in report.families:
+        if id(fam.upper_bounds) not in shifted:
+            shifted[id(fam.upper_bounds)] = _plain_list(map(mul, repeat(alpha), fam.upper_bounds))
+    schedules = [(_plain_list(chain.from_iterable(sched.initiation.data)),
+                  None if sched.completion is None
+                  else _plain_list(chain.from_iterable(sched.completion.data)),
+                  _plain(sched.span))
+                 for sched in (latest_schedule(report, closure, completion_matrix, alpha)
+                               if latest else ())]
+    delta = _plain(report.delta)
     if fmt == "json":
-        return _json_text(doc) + "\n"
-    lines = [f"status: {doc['status']}"]
-    if doc["status"] == "ok":
-        var = "u" if u_space else "x"
-        lines.append(f"delta: {doc['delta']}")
-        for pair, fam in zip(doc["pairs"], doc["families"]):
-            parts = []
-            for j, bound in enumerate(fam["upper_bounds"], start=1):
-                op = "=" if j == fam["pinned_index"] else "<="
-                parts.append(f"{var}{j} {op} {bound}")
-            lines.append(f"family k={pair['k']} s={pair['s']}: " + ", ".join(parts))
-        for sched in doc["schedules"]:
-            piece = f"schedule: initiation = ({', '.join(map(str, sched['initiation']))})"
-            if "completion" in sched:
-                piece += f", completion = ({', '.join(map(str, sched['completion']))})"
-            piece += f", span = {sched['span']}"
-            lines.append(piece)
+        bounds = {key: _numbers(values) for key, values in shifted.items()}
+        # a family is its head, filled, then its row's bounds text: one shared
+        # string, joined once with the rest instead of copied into each family
+        pieces, sep = [], "[\n    "
+        for fam in report.families:
+            key = id(fam.upper_bounds)
+            pieces += (sep, _FAMILY % (fam.pinned_index + 1, shifted[key][fam.pinned_index]),
+                       bounds[key])
+            sep = "\n    },\n    "
+        families = "".join(pieces) + "\n    }\n  ]" if pieces else "[]"
+        pairs = [_PAIR % (k + 1, s + 1) for k, s in report.pairs]
+        entries = [_SCHEDULE % (_numbers(x), "" if y is None else
+                                f'\n      "completion": {_numbers(y)},', span)
+                   for x, y, span in schedules]
+        return _DOCUMENT % (delta, _list_text(pairs, "  "), families, _list_text(entries, "  "))
+    var = "u" if closure is not None else "x"
+    # each row's "x_j <= b_j" parts once; a family swaps in "=" at its pinned index
+    parts = {key: [f"{var}{j} <= {b}" for j, b in enumerate(values, start=1)]
+             for key, values in shifted.items()}
+    lines = ["status: ok", f"delta: {delta}"]
+    for (k, s), fam in zip(report.pairs, report.families):
+        row, i = parts[id(fam.upper_bounds)], fam.pinned_index
+        pinned = f"{var}{i + 1} = {shifted[id(fam.upper_bounds)][i]}"
+        lines.append(f"family k={k + 1} s={s + 1}: " + ", ".join([*row[:i], pinned, *row[i + 1:]]))
+    for x, y, span in schedules:
+        piece = f"schedule: initiation = ({', '.join(map(str, x))})"
+        if y is not None:
+            piece += f", completion = ({', '.join(map(str, y))})"
+        lines.append(piece + f", span = {span}")
     return "\n".join(lines) + "\n"
 
 
@@ -340,19 +293,19 @@ def main(argv=None) -> int:
         report, closure, completion_matrix = _dispatch(args.command, project)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        sys.stdout.write(_render(_status_document("invalid_input"), args.format, False))
+        sys.stdout.write(_render_status("invalid_input", args.format))
         return EXIT_PARSE
     except TrConditionViolated as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        sys.stdout.write(_render(_status_document("infeasible"), args.format, False))
+        sys.stdout.write(_render_status("infeasible", args.format))
         return EXIT_INFEASIBLE
     except _INVALID_INPUT_ERRORS as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
-        sys.stdout.write(_render(_status_document("invalid_input"), args.format, False))
+        sys.stdout.write(_render_status("invalid_input", args.format))
         return EXIT_INVALID
 
-    doc = _document(report, closure, completion_matrix, args.alpha, args.latest)
-    sys.stdout.write(_render(doc, args.format, closure is not None))
+    sys.stdout.write(_render(report, closure, completion_matrix, args.alpha, args.latest,
+                             args.format))
     return EXIT_OK
 
 

@@ -19,6 +19,8 @@ immutable `__slots__` classes, like `BoxFamily`.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress, repeat
+from operator import eq, itemgetter
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
 from .matvec import Matrix, asterate, ones
@@ -142,11 +144,11 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     q = inst.q.entries()
     n, m = inst.n, inst.m
 
-    q_inv = tuple(inv(v) for v in q)
-    a_inv = [tuple(inv(v) for v in col) for col in zip(*inst.A.data)]  # a_j⁻
-    col_left = [dot(q_inv, col) for col in zip(*inst.B.data)]           # q⁻ ⊗ b_j
-    col_right = [dot(col, p) for col in a_inv]                          # a_j⁻ ⊗ p
-    terms = [mul(lft, rgt) for lft, rgt in zip(col_left, col_right)]
+    q_inv = tuple(map(inv, q))
+    a_inv = [tuple(map(inv, col)) for col in zip(*inst.A.data)]   # a_j⁻
+    col_left = [dot(q_inv, col) for col in zip(*inst.B.data)]      # q⁻ ⊗ b_j
+    col_right = [dot(col, p) for col in a_inv]                     # a_j⁻ ⊗ p
+    terms = list(map(mul, col_left, col_right))
     delta = sf.sum(terms)
 
     pairs: list[tuple[int, int]] = []
@@ -155,16 +157,13 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     for k in range(n):
         if terms[k] != delta:
             continue
-        pinned = col_right[k]
-        row_terms = [mul(v, pi) for v, pi in zip(a_inv[k], p)]
-        for s in range(m):
-            if row_terms[s] != pinned:
-                continue
-            bounds = row_bounds.get(s)
-            if bounds is None:
-                bounds = row_bounds[s] = tuple(mul(col[s], p[s]) for col in a_inv)
-            pairs.append((k, s))
-            families.append(BoxFamily(sf, k, bounds))
+        # the rows s attaining a_k⁻ ⊗ p
+        ties = list(compress(range(m), map(eq, map(mul, a_inv[k], p), repeat(col_right[k]))))
+        for s in ties:
+            if s not in row_bounds:
+                row_bounds[s] = tuple(map(mul, map(itemgetter(s), a_inv), repeat(p[s])))
+        pairs += zip(repeat(k), ties)
+        families += map(BoxFamily, repeat(sf), repeat(k), map(row_bounds.__getitem__, ties))
     return SolutionReport(delta, tuple(pairs), tuple(families))
 
 

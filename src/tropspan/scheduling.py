@@ -117,7 +117,10 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     of `Matrix` and `Matrix.scale`, but without building a `Matrix` for
     a vector that holds no 𝟘 and only carrier elements.  A bounds tuple
     object already seen (the families of one row share one) is skipped
-    by its `id`, before it is hashed by value.
+    by its `id`, before it is hashed by value.  The shifted vectors are
+    the columns of one n×d matrix X, so `closure @ X` and
+    `start_finish @ X` are each formed once, whatever the number d of
+    distinct vectors.
     """
     if not report.families:
         raise ValueError("the report contains no solution families")
@@ -134,7 +137,7 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     # share bounds (all pairs with the same row s) share their schedule
     seen_ids: set[int] = set()
     seen_bounds = set()
-    out: dict[tuple[Matrix, Matrix | None], Schedule] = {}
+    members = []
     for fam in report.families:
         bounds = fam.upper_bounds
         if id(bounds) in seen_ids:
@@ -146,9 +149,14 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
         if zero in bounds or not sf.contains_all(bounds):
             # the constructor canonicalises 𝟘 or raises its own message
             bounds = fam.max_member().entries()
-        # zip of one iterable yields the 1-tuples of a column's rows
-        member = Matrix._wrap(sf, tuple(zip(map(mul, repeat(alpha), bounds))))
-        x = closure @ member if closure is not None else member
-        y = start_finish @ x if start_finish is not None else None
-        out.setdefault((x, y), Schedule(x, y, report.delta))
-    return list(out.values())
+        members.append(tuple(map(mul, repeat(alpha), bounds)))
+    x = Matrix._wrap(sf, tuple(zip(*members)))
+    if closure is not None:
+        x = closure @ x
+    y = start_finish @ x if start_finish is not None else None
+    # a dict keeps the first of equal keys: the first family's schedule
+    columns = dict.fromkeys(zip(zip(*x.data), repeat(None) if y is None else zip(*y.data)))
+    # zip of one iterable yields the 1-tuples of a column's rows
+    return [Schedule(Matrix._wrap(sf, tuple(zip(xj))),
+                     None if yj is None else Matrix._wrap(sf, tuple(zip(yj))), report.delta)
+            for xj, yj in columns]

@@ -2,7 +2,9 @@
 
 `solve_scalar_equation` is the lemma behind the bounds of
 `solve_unconstrained`: every solution of one equation a ⊗ x = d as a
-union of boxes.  The brute-force grid oracles are deliberately
+union of boxes.  `document`, `status_document` and `text` are the
+CLI's output as a dict per node, the reference for its writer.  The
+brute-force grid oracles are deliberately
 independent of the closed-form solvers: the objective and the
 feasibility predicate are evaluated with plain built-in max and + on
 integer grids, sharing no arithmetic with the algebraic path they
@@ -12,11 +14,11 @@ confront.  Integer data only; every comparison is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 from tropspan import (BoxFamily, Matrix, NotRegular, ProblemInstance, Scalar,
-                      ShapeMismatch, TropicalError, max_plus)
+                      ShapeMismatch, TropicalError, latest_schedule, max_plus)
 
 NEG_INF = float("-inf")
 
@@ -52,6 +54,65 @@ def solve_scalar_equation(a: Matrix, d: Scalar) -> list[BoxFamily]:
         raise ZeroRightHandSide("the right hand side must exceed the semifield zero")
     bounds = tuple(sf.mul(sf.inv(v), d) for v in entries)
     return [BoxFamily(sf, i, bounds) for i in range(len(entries))]
+
+
+# ----------------------------------------------------------------------
+# the CLI's output, node by node
+
+def _plain(v):
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return v
+
+
+def document(report, closure, completion_matrix, alpha, latest) -> dict:
+    """The json document of a solved run; json.dumps(doc, indent=2) is its text."""
+    families = []
+    for fam in report.families:
+        bounds = [_plain(v) for v in map(max_plus.mul, repeat(alpha), fam.upper_bounds)]
+        families.append({"pinned_index": fam.pinned_index + 1,
+                         "pinned_value": bounds[fam.pinned_index], "upper_bounds": bounds})
+    doc = {
+        "status": "ok",
+        "delta": _plain(report.delta),
+        "pairs": [{"k": k + 1, "s": s + 1} for k, s in report.pairs],
+        "families": families,
+        "schedules": [],
+    }
+    if latest:
+        for sched in latest_schedule(report, closure, completion_matrix, alpha):
+            entry = {"initiation": [_plain(v) for v in chain.from_iterable(sched.initiation.data)]}
+            if sched.completion is not None:
+                entry["completion"] = [
+                    _plain(v) for v in chain.from_iterable(sched.completion.data)]
+            entry["span"] = _plain(sched.span)
+            doc["schedules"].append(entry)
+    return doc
+
+
+def status_document(status: str) -> dict:
+    return {"status": status, "delta": None, "pairs": [], "families": [], "schedules": []}
+
+
+def text(doc: dict, u_space: bool) -> str:
+    """The `--format text` output of a document, line by line."""
+    lines = [f"status: {doc['status']}"]
+    if doc["status"] == "ok":
+        var = "u" if u_space else "x"
+        lines.append(f"delta: {doc['delta']}")
+        for pair, fam in zip(doc["pairs"], doc["families"]):
+            parts = []
+            for j, bound in enumerate(fam["upper_bounds"], start=1):
+                op = "=" if j == fam["pinned_index"] else "<="
+                parts.append(f"{var}{j} {op} {bound}")
+            lines.append(f"family k={pair['k']} s={pair['s']}: " + ", ".join(parts))
+        for sched in doc["schedules"]:
+            piece = f"schedule: initiation = ({', '.join(map(str, sched['initiation']))})"
+            if "completion" in sched:
+                piece += f", completion = ({', '.join(map(str, sched['completion']))})"
+            piece += f", span = {sched['span']}"
+            lines.append(piece)
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

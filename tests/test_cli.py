@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from tropspan import Matrix, max_plus
+from tropspan import BoxFamily, Matrix, SolutionReport, max_plus
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
-                          _document, _json_text, _status_document, main)
+                          _render, _render_status, main)
 from tropspan.scheduling import Project
+from oracles import document, status_document, text
 from support import dump_project, random_feasible_constraint, run_python
 
 DATA = Path(__file__).parent / "data"
@@ -233,52 +234,44 @@ def _random_project(rng, command):
     return Project(c.rows, start_finish=_random_start_finish(rng, c.rows), start_start=c)
 
 
-def _documents():
+def _reports():
+    """(report, closure, completion matrix) of random and all-tied runs and
+    of a hand-built report whose numbers print in every way json has."""
     rng = random.Random(11)
     for command in ("sf", "ss", "combined"):
         for _ in range(25):
-            report, closure, completion = _dispatch(command, _random_project(rng, command))
-            for alpha in (0, 7):
-                for latest in (False, True):
-                    yield _document(report, closure, completion, alpha, latest)
-    for status in ("infeasible", "invalid_input"):
-        yield _status_document(status)
-    tied = Matrix(max_plus, [[0] * 8 for _ in range(8)])
-    shared = _document(*_dispatch("sf", Project(8, start_finish=tied)), 3, True)
-    assert len(shared["families"]) == 64
-    # pairs run over k, then s: family i has row s = i mod 8
-    bounds = shared["families"][0]["upper_bounds"]
-    assert all(fam["upper_bounds"] is shared["families"][i % 8]["upper_bounds"]
-               for i, fam in enumerate(shared["families"]))
-    yield shared
-    # one list object at three depths: the writer's memo must tell them apart
-    yield {"bounds": bounds, "nested": [bounds, {"deeper": [bounds]}],
-           "families": shared["families"], "empty": [], "none": {}}
-    # number lists are written by repr in one pass, picked by type: an int and
-    # an equal float print differently, and bools and None are not numbers
-    yield {"tied": [2**60, 2.0**60], "flags": [True, False, None], "mixed": [0, True, 1.5],
-           "floats": [1e16, 1e-07, -0.0]}
-    # a list of like dicts is written by one template per list: it must keep
-    # each dict's own key order, escape a key's "%", and fall back for any
-    # list whose dicts differ in keys or order, or that holds more than dicts
-    yield {"orders": [{"a": 1, "b": 2}, {"b": 3, "a": 4}]}
-    yield {"keys": [{"100%": 1, "{x}": [1, 2], "%s%%": "s"},
-                    {"100%": 2.5, "{x}": [], "%s%%": None}]}
-    yield {"flags": [{"v": True}, {"v": 1}, {"v": 1.0}]}
-    yield {"mixed": [{"a": 1}, 2, {"a": 3}]}
-    yield {"inner": [{"a": 1}, {}, {"a": 2}], "first": [{}, {"a": 1}], "all": [{}, {}]}
-    tied = Matrix(max_plus, [[0] * 40 for _ in range(40)])
-    full = _document(*_dispatch("sf", Project(40, start_finish=tied)), 3, True)
-    assert len(full["families"]) == 1600
-    yield full
+            yield _dispatch(command, _random_project(rng, command))
+    for n in (8, 40):
+        run = _dispatch("sf", Project(n, start_finish=Matrix(max_plus, [[0] * n] * n)))
+        # pairs run over k, then s: family i has row s = i mod n, whose tuple it shares
+        assert len(run[0].families) == n * n
+        assert all(fam.upper_bounds is run[0].families[i % n].upper_bounds
+                   for i, fam in enumerate(run[0].families))
+        yield run
+    # an int and an equal float print differently; -0.0, 1e16 and 1e-07 print
+    # as ints or in exponent form; the last two families hold equal bounds
+    # in tuples of their own
+    bounds = (2**60, 2.0**60, -0.0, 1e16, 1e-07)
+    families = (BoxFamily(max_plus, 0, bounds), BoxFamily(max_plus, 1, bounds),
+                BoxFamily(max_plus, 3, list(bounds)), BoxFamily(max_plus, 4, list(bounds)))
+    yield SolutionReport(2.5, ((0, 0), (1, 0), (3, 1), (4, 2)), families), None, None
 
 
-def test_json_writer_matches_json_dumps():
+def test_writer_matches_the_reference_documents():
     count = 0
-    for doc in _documents():
-        assert _json_text(doc) == json.dumps(doc, indent=2)
-        count += 1
-    assert count == 3 * 25 * 4 + 2 + 3 + 6
+    for report, closure, completion in _reports():
+        for alpha in (0, 7):
+            for latest in (False, True):
+                doc = document(report, closure, completion, alpha, latest)
+                args = (report, closure, completion, alpha, latest)
+                assert _render(*args, "json") == json.dumps(doc, indent=2) + "\n"
+                assert _render(*args, "text") == text(doc, closure is not None)
+                count += 1
+    assert count == (3 * 25 + 3) * 4
+    for status in ("infeasible", "invalid_input"):
+        doc = status_document(status)
+        assert _render_status(status, "json") == json.dumps(doc, indent=2) + "\n"
+        assert _render_status(status, "text") == text(doc, False)
 
 
 def _parse_per_entry(rows):

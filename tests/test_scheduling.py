@@ -290,6 +290,27 @@ def test_latest_schedule_skips_seen_bounds_before_hashing(monkeypatch):
     assert sched.initiation == col([1, 2, 3])
 
 
+def test_latest_schedule_makes_one_product_per_matrix(monkeypatch):
+    rng = random.Random(0)
+    rows = [[rng.randint(0, 2) for _ in range(12)] for _ in range(12)]
+    a = mp(rows)
+    report, closure = max_completion_spread_constrained(a, mp([[-v for v in r] for r in rows]))
+    assert len({fam.upper_bounds for fam in report.families}) == 3
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        products.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    schedules = latest_schedule(report, closure, a, alpha=2)
+    assert len(schedules) == 3
+    # the distinct vectors are the columns of one matrix, multiplied once by each
+    assert len(products) == 2
+    assert products[0] is closure and products[1] is a
+
+
 def test_latest_schedule_rejects_degenerate_arguments():
     report = max_completion_spread(mp(START_FINISH))
     with pytest.raises(ValueError):
