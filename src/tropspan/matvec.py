@@ -6,12 +6,14 @@ matrices, and conjugation turns them into single-row matrices.  All
 values are immutable and every operation returns a fresh matrix, so
 concurrent use needs no locking.
 
-A product makes one `Semifield.dot` call per output entry.  The star
-closure `asterate` is one O(n^3) Floyd–Warshall pass that also decides
-feasibility: C ⊗ x ≤ x has a regular solution exactly when C has no
-cycle heavier than 𝟙, which `asterate` checks.  It updates a whole row
-at a time with `Semifield.add_scaled`.  Both vector operations run on
-builtins for `max_plus`.
+A product hands the rows of its left operand and the columns of its
+right one to `Semifield.product`, which makes one `Semifield.dot` call
+per output entry, except where `max_plus` finds the entry from the
+maxima of its row and column.  The star closure `asterate` is one
+O(n^3) Floyd–Warshall pass that also decides feasibility: C ⊗ x ≤ x
+has a regular solution exactly when C has no cycle heavier than 𝟙,
+which `asterate` checks.  It updates a whole row at a time with
+`Semifield.add_scaled`, which runs on builtins for `max_plus`.
 """
 
 from __future__ import annotations
@@ -171,10 +173,7 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply a {self.rows}x{self.cols} matrix "
                 f"by a {other.rows}x{other.cols} matrix")
-        dot = self.sf.dot
-        bt = tuple(zip(*other.data))
-        return Matrix._wrap(self.sf, tuple(
-            tuple([dot(arow, bcol) for bcol in bt]) for arow in self.data))
+        return Matrix._wrap(self.sf, self.sf.product(self.data, tuple(zip(*other.data))))
 
     def scale(self, alpha: Scalar) -> "Matrix":
         """Multiply every entry by the scalar `alpha`."""

@@ -22,20 +22,26 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
-Besides the scalar operations, every semifield has three vector
+Besides the scalar operations, every semifield has four vector
 operations, the inner loops of matrix products, closures and checks:
 
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
+    product(rows, cols)   the rows of the matrix of every dot(r, c)
     add_scaled(x, s, y)   the list of xⱼ ⊕ s ⊗ yⱼ
     contains_all(v)       whether every vⱼ is a carrier element
 
-Their generic default is a plain loop over `add`, `mul` or `contains`.
-`max_plus` overrides all three with builtins (`max` over `operator.add`,
-one comparison per entry, and `math.isfinite` with a `min`/`max` range
-check), which gives the same values.  In `dot` and `add_scaled`, as in
-`add`, the left operand wins a tie: the earlier term of a dot product,
-and xⱼ over s ⊗ yⱼ.  Ties matter because an int and an equal float
-(2**60 and 2.0**60) compare equal but print differently.
+Their generic default is a plain loop over `add`, `mul`, `dot` or
+`contains`.  `max_plus` overrides all four, which gives the same
+values.  Three run on builtins: `max` over `operator.add`, one
+comparison per entry, and `math.isfinite` with a `min`/`max` range
+check.  Its `product` writes max(r) + max(c) without a scan wherever
+r and c attain their maxima at a common index, when both operands
+hold only ints and the right one has at least three columns, at least
+half of which tie at their maximum; other entries, and other
+operands, take one `dot` each.  In `dot` and `add_scaled`, as in
+`add`, the left operand wins a tie: the earlier term of a dot
+product, and xⱼ over s ⊗ yⱼ.  Ties matter because an int and an equal
+float (2**60 and 2.0**60) compare equal but print differently.
 
 Arithmetic is exact whenever the inputs are exact: integers stay
 integers under max, min and +, and dyadic floats stay dyadic under
@@ -48,6 +54,7 @@ import math
 import operator
 import sys
 from collections.abc import Iterable, Sequence
+from itertools import chain, repeat
 
 from .errors import InversionOfZero
 
@@ -64,6 +71,11 @@ def _is_number(a: object) -> bool:
         return a == a
     return (isinstance(a, int) and not isinstance(a, bool)
             and -sys.float_info.max <= a <= sys.float_info.max)
+
+
+def _argmax_mask(v: Sequence[Scalar], top: Scalar) -> int:
+    """The indices l with v[l] == top, as the bits 8·l of an int."""
+    return int.from_bytes(bytes(map(operator.eq, v, repeat(top))), "little")
 
 
 class Semifield:
@@ -114,6 +126,12 @@ class Semifield:
             acc = add(acc, mul(a, b))
         return acc
 
+    def product(self, rows: Sequence[Sequence[Scalar]],
+                cols: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
+        """The rows of the matrix whose entry (i, j) is dot(rows[i], cols[j])."""
+        dot = self.dot
+        return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
+
     def add_scaled(self, x: Sequence[Scalar], s: Scalar,
                    y: Sequence[Scalar]) -> list[Scalar]:
         """The list of xⱼ ⊕ s ⊗ yⱼ for two vectors of one length."""
@@ -154,6 +172,29 @@ class _MaxPlus(Semifield):
 
     def add_scaled(self, x, s, y):
         return [a if a >= (t := s + b) else t for a, b in zip(x, y)]
+
+    def product(self, rows, cols):
+        # Every term r_l + c_l is at most max(r) + max(c), and an index l
+        # where both maxima sit (the argmax bitmasks intersect) attains it.
+        # With ints only no term is an equal float that would have to win
+        # the tie.  The masks pay only where they often meet: a column with
+        # one argmax rarely meets a row's, and a row's type check, maximum
+        # and mask cost about as much as two or three dots.
+        if len(cols) < 3:
+            return super().product(rows, cols)
+        col_tops = list(map(max, cols))
+        tied = sum(map(operator.gt, map(operator.countOf, cols, col_tops), repeat(1)))
+        if (2 * tied < len(cols)
+                or set(map(type, chain.from_iterable(cols))) != {int}
+                or set(map(type, chain.from_iterable(rows))) != {int}):
+            return super().product(rows, cols)
+        dot = self.dot
+        by_col = list(zip(cols, col_tops, map(_argmax_mask, cols, col_tops)))
+        row_tops = list(map(max, rows))
+        return tuple(tuple([r_top + top if r_mask & mask else dot(r, c)
+                            for c, top, mask in by_col])
+                     for r, r_top, r_mask in zip(rows, row_tops,
+                                                 map(_argmax_mask, rows, row_tops)))
 
     def contains(self, a):
         return _is_number(a) and a < math.inf

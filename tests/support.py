@@ -218,6 +218,7 @@ class _GenericMaxPlus(_MaxPlus):
 
     name = "generic max-plus"
     dot = Semifield.dot
+    product = Semifield.product
     add_scaled = Semifield.add_scaled
 
 
@@ -228,13 +229,16 @@ generic_max_plus = _GenericMaxPlus()
 def counted_products():
     """Count the ⊗ that `max_plus` makes inside the block.
 
-    Shadows `mul`, `dot` and `add_scaled` on the instance and removes the
-    shadows on exit.  A kernel call counts one ⊗ per vector entry, as its
-    generic loop would make.  Yields a Counter: "mul" is the total and
-    "dot" the number of `dot` calls.
+    Shadows `mul`, `dot`, `product` and `add_scaled` on the instance and
+    removes the shadows on exit.  A `dot` or `add_scaled` call counts one
+    ⊗ per vector entry, as its generic loop would make.  A `product`
+    counts its `dot` calls so, and one ⊗, max(r) + max(c), for each entry
+    it finds without one.  Yields a Counter: "mul" is the total and "dot"
+    the number of `dot` calls.
     """
     counts = Counter()
-    mul, dot, add_scaled = max_plus.mul, max_plus.dot, max_plus.add_scaled
+    mul, dot, product, add_scaled = (max_plus.mul, max_plus.dot, max_plus.product,
+                                     max_plus.add_scaled)
 
     def counted_mul(a, b):
         counts["mul"] += 1
@@ -245,16 +249,22 @@ def counted_products():
         counts["mul"] += len(r)
         return dot(r, c)
 
+    def counted_product(rows, cols):
+        dots = counts["dot"]
+        out = product(rows, cols)   # its `dot` calls reach counted_dot
+        counts["mul"] += len(rows) * len(cols) - (counts["dot"] - dots)
+        return out
+
     def counted_add_scaled(x, s, y):
         counts["mul"] += len(y)
         return add_scaled(x, s, y)
 
-    max_plus.mul, max_plus.dot, max_plus.add_scaled = (
-        counted_mul, counted_dot, counted_add_scaled)
+    max_plus.mul, max_plus.dot, max_plus.product, max_plus.add_scaled = (
+        counted_mul, counted_dot, counted_product, counted_add_scaled)
     try:
         yield counts
     finally:
-        del max_plus.mul, max_plus.dot, max_plus.add_scaled
+        del max_plus.mul, max_plus.dot, max_plus.product, max_plus.add_scaled
 
 
 # ----------------------------------------------------------------------

@@ -263,6 +263,9 @@ def test_asterate_does_at_most_n_cubed_products():
 
 
 def test_product_makes_one_dot_call_per_entry():
+    """Only 4 of b's 12 columns tie at their maximum, fewer than half, so
+    `max_plus.product` does not look for entries where a row's and a
+    column's maxima meet: each of the n² entries is one `dot`."""
     n = 12
     rng = random.Random(5)
     a, b = (mp([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
@@ -270,6 +273,20 @@ def test_product_makes_one_dot_call_per_entry():
     with counted_products() as counts:
         a @ b
     assert counts["dot"] == n * n and counts["mul"] == n ** 3
+
+
+def test_product_skips_dot_where_row_and_column_maxima_meet():
+    n = 40
+    rng = random.Random(9)
+    for rows, most_dots in (([[0] * n] * n, 0),
+                            ([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)],
+                             n * n // 8)):
+        a = mp(rows)
+        x = a.conj()   # the columns a_s⁻ of the sf latest members
+        with counted_products() as counts:
+            a @ x
+        assert counts["dot"] <= most_dots
+        assert counts["mul"] == n * n + (n - 1) * counts["dot"]
 
 
 def _typed(m):
@@ -308,6 +325,48 @@ def _kernel_cases(rng, n):
     yield "infeasible", heavy
 
 
+def _product_cases(rng, n):
+    """Operand pairs for a product with n rows on the right: n×n, n×1 and n×d.
+
+    With three or more columns, all-tied, {0,1,2} and lo..lo+3 integers
+    pass the gate of `max_plus.product`; tie-free integers do not.  The
+    others hold 𝟘 or floats tied with equal ints, where the left operand
+    of a tie must win, so the product's value type depends on which
+    index of a tie comes first.
+    """
+    lo = rng.randint(-20, 20)
+    kinds = {
+        "tied": lambda: 0,
+        "narrow": lambda: rng.randint(0, 2),
+        "shifted": lambda: rng.randint(lo, lo + 3),
+        "zero": lambda: None if rng.random() < 0.1 else rng.randint(0, 2),
+        "mixed": lambda: None if rng.random() < 0.1 else _mixed(rng, rng.randint(-9, 9)),
+    }
+    d = rng.randint(3, n // 4)
+    for width in (n, 1, d):
+        for name, entry in kinds.items():
+            yield (f"{name} {n}x{width}", [[entry() for _ in range(n)] for _ in range(n)],
+                   [[entry() for _ in range(width)] for _ in range(n)])
+        # distinct entries in every column: no column ties, so the gate is off
+        yield (f"tie-free {n}x{width}", [rng.sample(range(-n * n, n * n), n) for _ in range(n)],
+               [list(r) for r in zip(*(rng.sample(range(-n * n, n * n), n)
+                                       for _ in range(width)))])
+    for width in (1, d):
+        # index 0 is below the maximum in every row of `low_a` and every
+        # column of `low_b`, so the first term that attains a maximum is at
+        # index 1, while max() of the other operand's vector finds index 0
+        low_a = [[-1] + [0] * (n - 1) for _ in range(n)]
+        low_b = [[-1] * width] + [[0] * width for _ in range(n - 1)]
+        big = [[rng.choice((2 ** 60, 2.0 ** 60)) for _ in range(width)] for _ in range(n)]
+        yield f"2**60 {n}x{width}", low_a, big
+        a = [[0] * n for _ in range(n)]
+        a[rng.randrange(n)][1] = 0.0
+        yield f"float row {n}x{width}", a, low_b
+        b = [[0] * width for _ in range(n)]
+        b[1][rng.randrange(width)] = 0.0
+        yield f"float column {n}x{width}", low_a, b
+
+
 @pytest.mark.parametrize("n", [64, 100, 160])
 def test_kernels_match_the_generic_loops(n):
     rng = random.Random(n)
@@ -315,10 +374,9 @@ def test_kernels_match_the_generic_loops(n):
         expected = _typed_star(Matrix(generic_max_plus, rows))
         assert _typed_star(mp(rows)) == expected, name
         assert (name == "infeasible") == isinstance(expected, str)
-    a, b = ([[None if rng.random() < 0.1 else _mixed(rng, rng.randint(-9, 9))
-              for _ in range(n)] for _ in range(n)] for _ in range(2))
-    assert _typed(mp(a) @ mp(b)) == _typed(Matrix(generic_max_plus, a)
-                                          @ Matrix(generic_max_plus, b))
+    for name, a, b in _product_cases(rng, n):
+        assert _typed(mp(a) @ mp(b)) == _typed(Matrix(generic_max_plus, a)
+                                              @ Matrix(generic_max_plus, b)), name
 
 
 def test_asterate_dominates_identity():
