@@ -15,8 +15,7 @@ from .matvec import Matrix, asterate, is_irreducible, is_regular, ones, vector
 from .optimizer import (ConstrainedReport, ProblemInstance, SolutionReport,
                         evaluate_objective, solve_constrained, solve_norm_form,
                         solve_unconstrained)
-from .scheduling import (Project, Schedule, latest_schedule,
-                         max_completion_spread,
+from .scheduling import (Schedule, latest_schedule, max_completion_spread,
                          max_completion_spread_constrained,
                          max_initiation_spread)
 from .semiring import INSTANCES, Scalar, Semifield, max_plus, max_times, min_plus
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxFamily", "ConstrainedReport", "INSTANCES", "InvariantViolation",
     "InversionOfZero", "Matrix", "NotIrreducible", "NotRegular", "NotSquare",
-    "ProblemInstance", "Project", "Scalar", "Schedule", "Semifield",
+    "ProblemInstance", "Scalar", "Schedule", "Semifield",
     "ShapeMismatch", "SolutionReport", "TrConditionViolated", "TropicalError",
     "ZeroEntry", "asterate", "evaluate_objective",
     "is_irreducible", "is_regular", "latest_schedule", "max_completion_spread",

@@ -21,10 +21,9 @@ import json
 import sys
 from itertools import chain, repeat
 
-from .errors import (InvariantViolation, NotIrreducible, NotRegular, NotSquare,
-                     ShapeMismatch, TrConditionViolated, ZeroEntry)
+from .errors import InvariantViolation, TrConditionViolated, TropicalError
 from .matvec import Matrix
-from .scheduling import (Project, latest_schedule, max_completion_spread,
+from .scheduling import (latest_schedule, max_completion_spread,
                          max_completion_spread_constrained, max_initiation_spread)
 from .semiring import max_plus
 
@@ -32,9 +31,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 EXIT_PARSE = 4
-
-_INVALID_INPUT_ERRORS = (InvariantViolation, NotRegular, NotIrreducible, NotSquare,
-                         ShapeMismatch, ZeroEntry, ValueError)
 
 
 class _ParseFailure(Exception):
@@ -81,8 +77,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_project(path: str) -> tuple[Project, int | float]:
-    """The project in the file at `path` and the largest |entry| it holds."""
+def _load_project(path: str, alpha) -> tuple[Matrix | None, Matrix | None]:
+    """The start-finish and start-start matrices in the file at `path`,
+    either None where absent, once every check of the file has passed."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -106,8 +103,8 @@ def _load_project(path: str) -> tuple[Project, int | float]:
     start_start, ss_largest = _parse_matrix(raw, "start_start", n, path, allow_null=True)
     if start_finish is None and start_start is None:
         raise _ParseFailure(f"{path}: provide start_finish, start_start, or both")
-    project = Project(n=n, start_finish=start_finish, start_start=start_start)
-    return project, max(sf_largest, ss_largest)
+    _require_in_range(n, max(sf_largest, ss_largest), alpha, path)
+    return start_finish, start_start
 
 
 def _require_in_range(n: int, largest, alpha, path: str) -> None:
@@ -134,8 +131,8 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
 
     A row's numbers are checked by one `contains_all` and one test for
     𝟘, and its nulls, where admitted, mapped in one pass; a row that
-    fails goes entry by entry, so the first refused entry in row-major
-    order gives the message."""
+    fails holds a refused entry, and the first one in the row gives the
+    message."""
     rows = raw.get(key)
     if rows is None:
         return None, 0
@@ -149,27 +146,21 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
         # admitted nulls (every start_start row has one: a project has no
         # self-lags) stay out of the check; any other null fails contains_all
         values = [v for v in row if v is not None] if allow_null and None in row else row
-        if max_plus.contains_all(values) and zero not in values:
-            if values is not row:
-                rows[i] = [zero if v is None else v for v in row]
-            # max keeps the first of equal |entries|, as the loop below does
-            top = max(map(abs, values), default=0)
-            if top > largest:
-                largest = top
-            continue
-        for j, v in enumerate(row):
+        if not max_plus.contains_all(values) or zero in values:
+            j, v = next((j, v) for j, v in enumerate(row)
+                        if not (_admits(v) or allow_null and v is None))
             if v is None:
-                if not allow_null:
-                    raise _ParseFailure(
-                        f"{path}: '{key}' does not admit null "
-                        f"(row {i + 1}, column {j + 1})")
-                row[j] = zero
-            elif not _admits(v):
                 raise _ParseFailure(
-                    f"{path}: entry at row {i + 1}, column {j + 1} of "
-                    f"'{key}' must be a finite number or null")
-            elif abs(v) > largest:
-                largest = abs(v)
+                    f"{path}: '{key}' does not admit null (row {i + 1}, column {j + 1})")
+            raise _ParseFailure(
+                f"{path}: entry at row {i + 1}, column {j + 1} of '{key}' must be "
+                f"a finite number{' or null' if allow_null else ''}")
+        if values is not row:
+            rows[i] = [zero if v is None else v for v in row]
+        # max keeps the first of equal |entries|: the first in row-major order
+        top = max(map(abs, values), default=0)
+        if top > largest:
+            largest = top
     # admitted entries and 𝟘 pass every check of the constructor
     return Matrix._wrap(max_plus, tuple(map(tuple, rows))), largest
 
@@ -186,22 +177,21 @@ def _plain_list(values) -> list:
     return list(map(_plain, values)) if float in map(type, values) else values
 
 
-def _dispatch(command: str, project: Project):
+def _dispatch(command: str, start_finish: Matrix | None, start_start: Matrix | None):
     if command == "sf":
-        if project.start_finish is None:
+        if start_finish is None:
             raise InvariantViolation("subcommand sf requires a start_finish matrix")
-        return max_completion_spread(project.start_finish), None, project.start_finish
+        return max_completion_spread(start_finish), None, start_finish
     if command == "ss":
-        if project.start_start is None:
+        if start_start is None:
             raise InvariantViolation("subcommand ss requires a start_start matrix")
-        report, closure = max_initiation_spread(project.start_start)
+        report, closure = max_initiation_spread(start_start)
         return report, closure, None
-    if project.start_finish is None or project.start_start is None:
+    if start_finish is None or start_start is None:
         raise InvariantViolation(
             "subcommand combined requires both start_finish and start_start matrices")
-    report, closure = max_completion_spread_constrained(
-        project.start_finish, project.start_start)
-    return report, closure, project.start_finish
+    report, closure = max_completion_spread_constrained(start_finish, start_start)
+    return report, closure, start_finish
 
 
 _STATUS_JSON = ('{\n  "status": "%s",\n  "delta": null,\n  "pairs": [],\n'
@@ -288,9 +278,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
-        project, largest = _load_project(args.input)
-        _require_in_range(project.n, largest, args.alpha, args.input)
-        report, closure, completion_matrix = _dispatch(args.command, project)
+        report, closure, completion_matrix = _dispatch(
+            args.command, *_load_project(args.input, args.alpha))
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.stdout.write(_render_status("invalid_input", args.format))
@@ -299,7 +288,7 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         sys.stdout.write(_render_status("infeasible", args.format))
         return EXIT_INFEASIBLE
-    except _INVALID_INPUT_ERRORS as exc:
+    except (TropicalError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         sys.stdout.write(_render_status("invalid_input", args.format))
         return EXIT_INVALID

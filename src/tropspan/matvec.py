@@ -106,10 +106,6 @@ class Matrix:
         return self.cols == 1
 
     @property
-    def is_row(self) -> bool:
-        return self.rows == 1
-
-    @property
     def is_vector(self) -> bool:
         return self.cols == 1 or self.rows == 1
 

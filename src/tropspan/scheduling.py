@@ -10,39 +10,20 @@ A start-start matrix C constrains initiations through C ⊗ x ≤ x, with
 The solvers below maximize the span between the latest and earliest
 completion (or initiation) times and describe every optimal schedule.
 `latest_schedule` extracts the customary representatives: per family,
-the member with the latest initiation times.  `Project` and `Schedule`
-are immutable `__slots__` records, like `BoxFamily`.
+the member with the latest initiation times.  `Schedule` is an
+immutable `__slots__` record, like `BoxFamily`.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .errors import InvariantViolation, NotIrreducible, NotSquare, ShapeMismatch
+from .errors import InvariantViolation, NotIrreducible, NotSquare
 from .matvec import Matrix, asterate, is_irreducible, ones
 from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
                         solve_constrained, solve_norm_form)
 from .semiring import Scalar
 from .solvers import _Frozen
-
-
-class Project(_Frozen):
-    """Activity count plus the constraint matrices that are present."""
-
-    __slots__ = ("n", "start_finish", "start_start")
-
-    def __init__(self, n: int, start_finish: Matrix | None = None,
-                 start_start: Matrix | None = None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "start_finish", start_finish)
-        object.__setattr__(self, "start_start", start_start)
-        if self.start_finish is None and self.start_start is None:
-            raise ValueError("a project needs at least one constraint matrix")
-        for name, m in (("start_finish", self.start_finish),
-                        ("start_start", self.start_start)):
-            if m is not None and m.shape != (self.n, self.n):
-                raise ShapeMismatch(
-                    f"{name} must be {self.n}x{self.n}, got {m.rows}x{m.cols}")
 
 
 class Schedule(_Frozen):
@@ -116,9 +97,9 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     one `contains_all`, and shifted once, with the checks and messages
     of `Matrix` and `Matrix.scale`, but without building a `Matrix` for
     a vector that holds no 𝟘 and only carrier elements.  A bounds tuple
-    object already seen (the families of one row share one) is skipped
-    by its `id`, before it is hashed by value.  The shifted vectors are
-    the columns of one n×d matrix X, so `closure @ X` and
+    object that several families share (those of one row do) is taken
+    once by its `id`, so it is hashed by value once.  The shifted
+    vectors are the columns of one n×d matrix X, so `closure @ X` and
     `start_finish @ X` are each formed once, whatever the number d of
     distinct vectors.
     """
@@ -134,21 +115,15 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
         raise ValueError(f"{alpha!r} is not a {sf.name} carrier element")
     mul, zero = sf.mul, sf.zero
     # a family's largest member is its bounds vector, so families that
-    # share bounds (all pairs with the same row s) share their schedule
-    seen_ids: set[int] = set()
-    seen_bounds = set()
+    # share bounds (all pairs with the same row s) share their schedule;
+    # a dict keeps the first of equal keys, in first-seen order
+    by_id = {id(fam.upper_bounds): fam.upper_bounds for fam in report.families}
     members = []
-    for fam in report.families:
-        bounds = fam.upper_bounds
-        if id(bounds) in seen_ids:
-            continue
-        seen_ids.add(id(bounds))
-        if bounds in seen_bounds:
-            continue
-        seen_bounds.add(bounds)
+    for bounds in dict.fromkeys(by_id.values()):
         if zero in bounds or not sf.contains_all(bounds):
-            # the constructor canonicalises 𝟘 or raises its own message
-            bounds = fam.max_member().entries()
+            # as in `BoxFamily.max_member`, the constructor canonicalises 𝟘
+            # or raises its own message
+            bounds = Matrix.column(sf, bounds).entries()
         members.append(tuple(map(mul, repeat(alpha), bounds)))
     x = Matrix._wrap(sf, tuple(zip(*members)))
     if closure is not None:

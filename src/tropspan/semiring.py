@@ -43,9 +43,12 @@ operands, take one `dot` each.  In `dot` and `add_scaled`, as in
 product, and xⱼ over s ⊗ yⱼ.  Ties matter because an int and an equal
 float (2**60 and 2.0**60) compare equal but print differently.
 
-Arithmetic is exact whenever the inputs are exact: integers stay
-integers under max, min and +, and dyadic floats stay dyadic under
-· and 1/x.  Equality everywhere is plain ``==`` with no tolerance.
+Max-plus and min-plus are exact on ints: max, min and + of ints are
+ints.  A float sum rounds where it needs more than 53 bits, and
+max-times rounds even on ints, since 1/x is a float
+(`max_times.inv(3)` is 0.3333333333333333).  Exact arithmetic on
+`Fraction` inputs is ROADMAP item 1.  Equality everywhere is plain
+``==`` with no tolerance.
 """
 
 from __future__ import annotations

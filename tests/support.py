@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from tropspan import (Matrix, NotSquare, ProblemInstance, Project, Scalar, Semifield,
+from tropspan import (Matrix, NotSquare, ProblemInstance, Scalar, Semifield,
                       TrConditionViolated, max_plus, max_times)
 from tropspan.semiring import _MaxPlus
 
@@ -298,18 +298,18 @@ def raw_satisfies_constraint(rows, x):
 # ----------------------------------------------------------------------
 # the inverse of the CLI's file parser
 
-def dump_project(project: Project) -> dict:
-    """The json document of `project`; finite values kept exactly, 𝟘 as null."""
+def dump_project(start_finish: Matrix | None, start_start: Matrix | None) -> dict:
+    """The json document of the matrices `cli._load_project` returns;
+    finite values kept exactly, 𝟘 as null."""
     def plain(v):
         return int(v) if isinstance(v, float) and v.is_integer() else v
 
-    doc: dict = {"n": project.n}
-    if project.start_finish is not None:
-        doc["start_finish"] = [[plain(v) for v in row]
-                               for row in project.start_finish.data]
-    if project.start_start is not None:
+    doc: dict = {"n": (start_start if start_finish is None else start_finish).rows}
+    if start_finish is not None:
+        doc["start_finish"] = [[plain(v) for v in row] for row in start_finish.data]
+    if start_start is not None:
         doc["start_start"] = [[None if v == max_plus.zero else plain(v) for v in row]
-                              for row in project.start_start.data]
+                              for row in start_start.data]
     return doc
 
 

@@ -8,7 +8,6 @@ import pytest
 from tropspan import BoxFamily, Matrix, SolutionReport, max_plus
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
                           _render, _render_status, main)
-from tropspan.scheduling import Project
 from oracles import document, status_document, text
 from support import dump_project, random_feasible_constraint, run_python
 
@@ -145,7 +144,7 @@ CYCLE_OF_4 = (f"[[null, {BIG_LAG}, null, null], [null, null, {BIG_LAG}, null], "
     ("ss", b'{"n": 4, "start_start": ' + CYCLE_OF_4.encode() + b"}", "too large"),
     ("sf", b'{"n": 2, "start_finish": [[1e308, 0], [-1e308, 0]]}', "too large"),
     ("sf", b'{"n": 1, "start_finish": [[' + JUST_BEYOND_FLOAT.encode() + b"]]}",
-     "must be a finite number or null"),
+     "of 'start_finish' must be a finite number\n"),
     # the range check covers the matrix that ss does not use
     ("ss", b'{"n": 2, "start_finish": [[1e308, 0], [0, 0]], '
            b'"start_start": [[null, 0], [0, null]]}', "too large"),
@@ -223,15 +222,15 @@ def _random_start_finish(rng, n):
 
 
 def _random_project(rng, command):
+    """The (start_finish, start_start) matrices of a random project for `command`."""
     if command == "sf":
-        n = rng.randint(1, 7)
-        return Project(n, start_finish=_random_start_finish(rng, n))
+        return _random_start_finish(rng, rng.randint(1, 7)), None
     c = random_feasible_constraint(rng, max_n=7)
     # halving keeps every cycle weight exactly <= 0 and gives non-integer lags
     c = Matrix(max_plus, [[v / 2 for v in row] for row in c.data])
     if command == "ss":
-        return Project(c.rows, start_start=c)
-    return Project(c.rows, start_finish=_random_start_finish(rng, c.rows), start_start=c)
+        return None, c
+    return _random_start_finish(rng, c.rows), c
 
 
 def _reports():
@@ -240,9 +239,9 @@ def _reports():
     rng = random.Random(11)
     for command in ("sf", "ss", "combined"):
         for _ in range(25):
-            yield _dispatch(command, _random_project(rng, command))
+            yield _dispatch(command, *_random_project(rng, command))
     for n in (8, 40):
-        run = _dispatch("sf", Project(n, start_finish=Matrix(max_plus, [[0] * n] * n)))
+        run = _dispatch("sf", Matrix(max_plus, [[0] * n] * n), None)
         # pairs run over k, then s: family i has row s = i mod n, whose tuple it shares
         assert len(run[0].families) == n * n
         assert all(fam.upper_bounds is run[0].families[i % n].upper_bounds
@@ -287,13 +286,12 @@ def _parse_per_entry(rows):
     return tuple(data), largest
 
 
-def test_row_check_matches_the_per_entry_parse(tmp_path):
-    from tropspan.cli import _load_project
+def test_row_check_matches_the_per_entry_parse():
+    from tropspan.cli import _parse_matrix
     rng = random.Random(17)
     # ints and floats of equal magnitude tie for the largest |entry|, whose
     # type must be the first one in row-major order
     entries = (3, 3.0, -3, -3.0, 0, 0.0, -0.0, 2.5, -2.5, 1, 2**60, 2.0**60, -2**60)
-    path = tmp_path / "p.json"
 
     def typed(data):
         return [[(v, type(v)) for v in row] for row in data]
@@ -303,25 +301,23 @@ def test_row_check_matches_the_per_entry_parse(tmp_path):
         a = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
         c = [[None if rng.random() < 0.3 else rng.choice(entries) for _ in range(n)]
              for _ in range(n)]
-        path.write_text(json.dumps({"n": n, "start_finish": a, "start_start": c}))
-        project, largest = _load_project(str(path))
-        a_data, a_largest = _parse_per_entry(json.loads(json.dumps(a)))
-        c_data, c_largest = _parse_per_entry(json.loads(json.dumps(c)))
-        assert typed(project.start_finish.data) == typed(a_data)
-        assert typed(project.start_start.data) == typed(c_data)
-        want = max(a_largest, c_largest)
-        assert (largest, type(largest)) == (want, type(want))
+        raw = json.loads(json.dumps({"n": n, "start_finish": a, "start_start": c}))
+        for key, allow_null in (("start_finish", False), ("start_start", True)):
+            want_data, want = _parse_per_entry(json.loads(json.dumps(raw[key])))
+            matrix, largest = _parse_matrix(raw, key, n, "p.json", allow_null)
+            assert typed(matrix.data) == typed(want_data)
+            assert (largest, type(largest)) == (want, type(want))
 
 
 @pytest.mark.parametrize("rows,message", [
     ("[[1, 2, 3], [4, 5.5, \"x\"], [true, 7, 8]]",
-     "entry at row 2, column 3 of 'start_finish' must be a finite number or null"),
+     "entry at row 2, column 3 of 'start_finish' must be a finite number"),
     ("[[1, 2, 3], [4, 5, 1e999], [6, 7, 8]]",
-     "entry at row 2, column 3 of 'start_finish' must be a finite number or null"),
+     "entry at row 2, column 3 of 'start_finish' must be a finite number"),
     ("[[1, 2, 3], [4, 5, null], [6, 7, \"x\"]]",
      "'start_finish' does not admit null (row 2, column 3)"),
     ("[[1, 2, 3], [4, 5, 6], [7, 8, " + JUST_BEYOND_FLOAT + "]]",
-     "entry at row 3, column 3 of 'start_finish' must be a finite number or null"),
+     "entry at row 3, column 3 of 'start_finish' must be a finite number"),
 ])
 def test_first_refused_entry_of_a_row_gives_the_message(tmp_path, rows, message, capsys):
     path = tmp_path / "bad.json"
@@ -335,7 +331,7 @@ def test_round_trip_preserves_values_exactly():
     for name in ("ex1", "ex2", "ex3", "tied", "dense"):
         path = DATA / f"{name}.json"
         original = json.loads(path.read_text())
-        assert dump_project(_load_project(str(path))[0]) == original
+        assert dump_project(*_load_project(str(path), 0)) == original
 
 
 def test_integer_values_serialize_without_decimal_point():

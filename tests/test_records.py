@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from tropspan import (BoxFamily, ConstrainedReport, InvariantViolation, Matrix,
-                      ProblemInstance, Project, Schedule, ShapeMismatch, SolutionReport,
+                      ProblemInstance, Schedule, SolutionReport,
                       max_initiation_spread, max_plus, max_times, min_plus, ones,
                       solve_unconstrained)
 
@@ -27,8 +27,6 @@ RECORDS = [
     (SolutionReport, (2, ((0, 1),), (FAMILY,)),
      "SolutionReport(delta=2, pairs=((0, 1),), families=(BoxFamily(sf=<max-plus "
      "semifield>, pinned_index=0, upper_bounds=(2, 0)),))"),
-    (Project, (2, A, None),
-     "Project(n=2, start_finish=Matrix(max-plus, [[0, -1], [-2, 0]]), start_start=None)"),
     (Schedule, (Matrix.column(max_plus, [0, 1]), None, 3),
      "Schedule(initiation=Matrix(max-plus, [[0], [1]]), completion=None, span=3)"),
     (ConstrainedReport, (SolutionReport(2, ((0, 1),), (FAMILY,)), A),
@@ -41,7 +39,6 @@ FIELDS = {
     BoxFamily: ("sf", "pinned_index", "upper_bounds"),
     ProblemInstance: ("A", "B", "p", "q"),
     SolutionReport: ("delta", "pairs", "families"),
-    Project: ("n", "start_finish", "start_start"),
     Schedule: ("initiation", "completion", "span"),
     ConstrainedReport: ("report", "closure"),
 }
@@ -130,10 +127,6 @@ B_ZERO_COLUMN = Matrix(max_plus, [[0, None], [0, None]])
      InvariantViolation, "vector p must be regular; component 2 is zero"),
     (lambda: ProblemInstance(A, A, UNIT, Matrix.column(max_plus, [None, 0])),
      InvariantViolation, "vector q must be regular; component 1 is zero"),
-    (lambda: Project(n=2), ValueError, "a project needs at least one constraint matrix"),
-    (lambda: Project(3, A), ShapeMismatch, "start_finish must be 3x3, got 2x2"),
-    (lambda: Project(2, A, Matrix(max_plus, [[0]])), ShapeMismatch,
-     "start_start must be 2x2, got 1x1"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_validation_messages_are_unchanged(build, error, message):
     with pytest.raises(error) as info:

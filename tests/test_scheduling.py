@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from tropspan import (BoxFamily, InvariantViolation, Matrix, NotIrreducible,
-                      NotSquare, Project, Schedule, ShapeMismatch, SolutionReport,
+                      NotSquare, Schedule, ShapeMismatch, SolutionReport,
                       TrConditionViolated, latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
                       max_plus)
@@ -283,11 +283,24 @@ def test_latest_schedule_skips_seen_bounds_before_hashing(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     _CountedHash.hashes = 0
     sched, = latest_schedule(report, closure, alpha=1)
-    # the lookup and the insertion of the first family only; the next two
-    # share its object and are skipped by id
-    assert _CountedHash.hashes == 2
+    # the insertion of the first family's tuple only; the next two share
+    # its object and are taken once by id
+    assert _CountedHash.hashes == 1
     assert len(products) == 1
     assert sched.initiation == col([1, 2, 3])
+
+
+@pytest.mark.parametrize("first,later", [
+    ((2**60, 0), (2.0**60, 0)),
+    ((2**60, max_plus.zero), (2.0**60, max_plus.zero)),   # rebuilt through Matrix
+    ((1, max_plus.zero), (True, max_plus.zero)),          # the later one is refused
+])
+def test_latest_schedule_takes_the_first_of_equal_bounds(first, later):
+    # equal tuples in distinct objects hash and compare equal, whatever
+    # their entries' types; the first family's tuple gives the schedule
+    families = (BoxFamily(max_plus, 0, first), BoxFamily(max_plus, 0, later))
+    sched, = latest_schedule(SolutionReport(0, ((0, 0), (0, 1)), families))
+    assert [(v, type(v)) for v in sched.initiation.entries()] == [(v, type(v)) for v in first]
 
 
 def test_latest_schedule_makes_one_product_per_matrix(monkeypatch):
@@ -329,11 +342,3 @@ def test_latest_schedule_rejects_degenerate_arguments():
                                          "max-plus carrier element: inf$"):
         latest_schedule(infinite)
 
-
-def test_project_validation():
-    with pytest.raises(ValueError):
-        Project(n=2)
-    with pytest.raises(ShapeMismatch):
-        Project(n=2, start_finish=mp(START_FINISH))
-    project = Project(n=3, start_finish=mp(START_FINISH), start_start=mp(START_START))
-    assert project.n == 3
