@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from tropspan import BoxFamily, Matrix, SolutionReport, max_plus
+from tropspan import (BoxFamily, InvariantViolation, InversionOfZero, Matrix, NotIrreducible,
+                      NotRegular, NotSquare, ShapeMismatch, SolutionReport, TrConditionViolated,
+                      TropicalError, ZeroEntry, max_plus)
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
                           _render, _render_status, main)
 from oracles import document, status_document, text
@@ -84,6 +86,69 @@ def test_missing_matrix_for_subcommand_exits_3(capsys):
     assert main(["sf", "--input", str(DATA / "ex2.json")]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert "start_finish" in captured.err
+
+
+A2 = Matrix(max_plus, [[0, -1], [-2, 0]])
+C2 = Matrix(max_plus, [[None, 0], [0, None]])
+
+
+@pytest.mark.parametrize("command,start_finish,start_start,message", [
+    ("sf", None, C2, "subcommand sf requires a start_finish matrix"),
+    ("ss", A2, None, "subcommand ss requires a start_start matrix"),
+    ("combined", A2, None,
+     "subcommand combined requires both start_finish and start_start matrices"),
+    ("combined", None, C2,
+     "subcommand combined requires both start_finish and start_start matrices"),
+], ids=["sf-without-start-finish", "ss-without-start-start",
+        "combined-without-start-start", "combined-without-start-finish"])
+def test_dispatch_names_the_missing_matrix(command, start_finish, start_start, message):
+    with pytest.raises(InvariantViolation) as info:
+        _dispatch(command, start_finish, start_start)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    *((error, EXIT_INVALID, "invalid input") for error in (
+        TropicalError, InversionOfZero, ShapeMismatch, NotSquare, ZeroEntry, NotRegular,
+        NotIrreducible, InvariantViolation, ValueError)),
+    (TrConditionViolated, EXIT_INFEASIBLE, "infeasible"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_every_solver_error_maps_to_one_exit_code(monkeypatch, capsys, error, code, prefix):
+    # every TropicalError but TrConditionViolated, and ValueError, exits 3
+    def failing(*args):
+        raise error("refused")
+    monkeypatch.setattr("tropspan.cli._dispatch", failing)
+    assert main(["sf", "--input", str(DATA / "ex1.json"), "--format", "text"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: refused\n"
+    assert captured.out == ("status: infeasible\n" if code == EXIT_INFEASIBLE
+                            else "status: invalid_input\n")
+
+
+@pytest.mark.parametrize("content,message", [
+    ("[1]", "the top level must be an object"),
+    ('{"n": 1, "start_finish": [[1]], "extra": 1, "another": 2}',
+     "unknown keys ['another', 'extra']"),
+    ('{"n": true, "start_finish": [[1]]}', "'n' must be a positive integer"),
+    ('{"n": 2}', "provide start_finish, start_start, or both"),
+    ('{"n": 3, "start_finish": [[0, -1], [-2, 0]]}', "'start_finish' must be a list of 3 rows"),
+    ('{"n": 2, "start_finish": [[0, -1], [-2, 0]], "start_start": [[null]]}',
+     "'start_start' must be a list of 2 rows"),
+    ('{"n": 2, "start_finish": [[0, -1], [-2]]}', "row 2 of 'start_finish' must hold 2 entries"),
+    ('{"n": 2, "start_start": [[null, 0], 0]}', "row 2 of 'start_start' must hold 2 entries"),
+    ('{"n": 2, "start_finish": [[0, -1], [-2, 0]], "start_start": [[null, 0, 0], [0, null]]}',
+     "row 1 of 'start_start' must hold 2 entries"),
+], ids=["top-level-not-object", "unknown-keys", "n-not-integer", "no-matrix",
+        "start-finish-row-count", "start-start-row-count", "start-finish-row-length",
+        "start-start-row-not-list", "start-start-row-length"])
+def test_file_structure_messages_are_unchanged(tmp_path, content, message, capsys):
+    # the shape and presence checks of a project file live in its parse alone
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["combined", "--input", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert json.loads(captured.out)["status"] == "invalid_input"
 
 
 @pytest.mark.parametrize("content", [
