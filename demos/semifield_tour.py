@@ -3,8 +3,7 @@
 Run with:  python demos/semifield_tour.py
 """
 
-from tropspan import (INSTANCES, Matrix, TrConditionViolated, asterate, max_plus, ones,
-                      vector)
+from tropspan import INSTANCES, Matrix, TrConditionViolated, asterate, max_plus, ones
 
 print("=== scalar arithmetic in the three shipped semifields ===")
 for sf in INSTANCES:
@@ -22,7 +21,7 @@ print("\na + a == a (idempotent addition):", a + a == a)
 print("\na @ a  (products use max in place of +, + in place of *):")
 print(a @ a)
 
-x = vector(max_plus, [0, -1, -3])
+x = Matrix.column(max_plus, [0, -1, -3])
 print("\ncolumn x =", x.entries())
 print("a @ x    =", (a @ x).entries())
 print("x.norm() =", x.norm(), "  (the largest component)")

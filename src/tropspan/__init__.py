@@ -11,7 +11,7 @@ which `asterate` checks.
 from .errors import (InvariantViolation, InversionOfZero, NotIrreducible,
                      NotRegular, NotSquare, ShapeMismatch, TrConditionViolated,
                      TropicalError, ZeroEntry)
-from .matvec import Matrix, asterate, is_irreducible, is_regular, ones, vector
+from .matvec import Matrix, asterate, is_regular, ones
 from .optimizer import (ConstrainedReport, ProblemInstance, SolutionReport,
                         evaluate_objective, solve_constrained, solve_norm_form,
                         solve_unconstrained)
@@ -28,9 +28,9 @@ __all__ = [
     "InversionOfZero", "Matrix", "NotIrreducible", "NotRegular", "NotSquare",
     "ProblemInstance", "Scalar", "Schedule", "Semifield",
     "ShapeMismatch", "SolutionReport", "TrConditionViolated", "TropicalError",
-    "ZeroEntry", "asterate", "evaluate_objective",
-    "is_irreducible", "is_regular", "latest_schedule", "max_completion_spread",
+    "ZeroEntry", "asterate", "evaluate_objective", "is_regular",
+    "latest_schedule", "max_completion_spread",
     "max_completion_spread_constrained", "max_initiation_spread", "max_plus",
     "max_times", "min_plus", "ones", "solve_constrained", "solve_norm_form",
-    "solve_unconstrained", "vector",
+    "solve_unconstrained",
 ]

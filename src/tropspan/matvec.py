@@ -13,12 +13,15 @@ maxima of its row and column.  The star closure `asterate` is one
 O(n^3) Floyd–Warshall pass that also decides feasibility: C ⊗ x ≤ x
 has a regular solution exactly when C has no cycle heavier than 𝟙,
 which `asterate` checks.  It updates a whole row at a time with
-`Semifield.add_scaled`, which runs on builtins for `max_plus`.
+`Semifield.add_scaled`, which runs on builtins for `max_plus`.  A 𝟘
+at (i, j) of the closure marks an unreachable pair: no walk of C's
+arcs leads from j to i, so an n×n C with n ≥ 2 is irreducible exactly
+when its closure is zero-free.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import NotSquare, ShapeMismatch, TrConditionViolated, ZeroEntry
 from .semiring import Scalar, Semifield
@@ -250,11 +253,6 @@ def _fmt(v: Scalar) -> str:
 # ----------------------------------------------------------------------
 # vectors and whole-matrix operations
 
-def vector(sf: Semifield, entries: Iterable[Scalar | None]) -> Matrix:
-    """Column vector over `sf`; ``None`` entries become 𝟘."""
-    return Matrix.column(sf, entries)
-
-
 def ones(sf: Semifield, n: int) -> Matrix:
     """Column vector with every component equal to the unit 𝟙."""
     if n < 1:
@@ -298,39 +296,3 @@ def asterate(a: Matrix) -> Matrix:
         ci[i] = add(one, ci[i])
     return Matrix._wrap(sf, tuple(map(tuple, c)))
 
-
-def is_irreducible(a: Matrix) -> bool:
-    """True when the nonzero pattern of `a` is strongly connected.
-
-    Entry (i, j) ≠ 𝟘 contributes the arc j → i.  A 1×1 matrix counts
-    as irreducible exactly when its entry is nonzero.
-    """
-    if a.rows != a.cols:
-        raise NotSquare("irreducibility is defined for square matrices")
-    n = a.rows
-    zero = a.sf.zero
-    if n == 1:
-        return a.data[0][0] != zero
-    fwd = [[] for _ in range(n)]
-    rev = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if a.data[i][j] != zero:
-                fwd[j].append(i)
-                rev[i].append(j)
-    return _reaches_all(fwd, n) and _reaches_all(rev, n)
-
-
-def _reaches_all(adj: Sequence[list[int]], n: int) -> bool:
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n

@@ -85,10 +85,6 @@ class ProblemInstance(_Frozen):
     def m(self) -> int:
         return self.A.rows
 
-    @property
-    def l(self) -> int:
-        return self.B.rows
-
 
 class SolutionReport(_Frozen):
     """The optimum and the complete description of its attainment set.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from .errors import InvariantViolation, NotIrreducible, NotSquare
-from .matvec import Matrix, asterate, is_irreducible, ones
+from .matvec import Matrix, asterate, ones
 from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
                         solve_constrained, solve_norm_form)
 from .semiring import Scalar
@@ -51,16 +51,20 @@ def max_completion_spread(a: Matrix) -> SolutionReport:
 def max_initiation_spread(c: Matrix) -> ConstrainedReport:
     """Maximize the span of initiation times subject to C ⊗ x ≤ x.
 
-    C must be irreducible and have no cycle heavier than 𝟙, which
-    `asterate` checks.  The report is over the generator variable u;
-    initiations are x = closure ⊗ u.
+    C must have no cycle heavier than 𝟙 and must be irreducible.  One
+    `asterate` pass decides both, infeasibility first: it raises on a
+    heavier cycle, and for n ≥ 2 entry (i, j) of C* is 𝟘 exactly when
+    no walk leads from j to i, so C is irreducible exactly when C* is
+    zero-free.  A 1×1 C is irreducible when its entry is nonzero.  The
+    report is over the generator variable u; initiations are
+    x = closure ⊗ u.
     """
     if c.rows != c.cols:
         raise NotSquare("the start-start matrix must be square")
-    if not is_irreducible(c):
+    closure = asterate(c)
+    if (closure if c.rows > 1 else c).first_zero() is not None:
         raise NotIrreducible(
             "the start-start matrix's nonzero pattern must be strongly connected")
-    closure = asterate(c)
     return ConstrainedReport(solve_norm_form(closure, closure), closure)
 
 

@@ -2,7 +2,8 @@
 
 Holds the 3-activity example project used throughout the suite, random
 instance builders whose preconditions hold by construction, reference
-closures by the paper's power series, a max-plus instance on the
+closures by the paper's power series, a reference irreducibility test
+by depth-first search, a max-plus instance on the
 generic vector loops with a ⊗ counter for `max_plus`, raw max/+
 evaluators that give the tests an arithmetic path independent of the
 package's semifield operations, the inverse of the CLI's file parser,
@@ -15,6 +16,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 
 from tropspan import (Matrix, NotSquare, ProblemInstance, Scalar, Semifield,
@@ -208,6 +210,46 @@ def power_series_asterate(c: Matrix) -> Matrix:
         power = power @ c
         acc = acc + power
     return acc
+
+
+# ----------------------------------------------------------------------
+# reference irreducibility test: two depth-first searches
+
+def is_irreducible(a: Matrix) -> bool:
+    """True when the nonzero pattern of `a` is strongly connected.
+
+    Entry (i, j) ≠ 𝟘 contributes the arc j → i.  A 1×1 matrix counts
+    as irreducible exactly when its entry is nonzero.
+    """
+    if a.rows != a.cols:
+        raise NotSquare("irreducibility is defined for square matrices")
+    n = a.rows
+    zero = a.sf.zero
+    if n == 1:
+        return a.data[0][0] != zero
+    fwd = [[] for _ in range(n)]
+    rev = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if a.data[i][j] != zero:
+                fwd[j].append(i)
+                rev[i].append(j)
+    return _reaches_all(fwd, n) and _reaches_all(rev, n)
+
+
+def _reaches_all(adj: Sequence[list[int]], n: int) -> bool:
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == n
 
 
 # ----------------------------------------------------------------------

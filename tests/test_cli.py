@@ -75,6 +75,18 @@ def test_infeasible_project_exits_2():
                            "which exceeds the unit 0\n")
 
 
+def test_reducible_infeasible_constraint_exits_2(tmp_path):
+    # no arc reaches activity 3, and the cycle 1 → 2 → 1 weighs 2
+    path = tmp_path / "reducible_infeasible.json"
+    path.write_text(json.dumps(
+        {"n": 3, "start_start": [[None, 1, None], [1, None, None], [None, None, None]]}))
+    proc = run_cli(["ss", "--input", str(path)])
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert json.loads(proc.stdout) == status_document("infeasible")
+    assert proc.stderr == ("infeasible: the closed walk through index 2 has weight 2, "
+                           "which exceeds the unit 0\n")
+
+
 def test_reducible_constraint_exits_3():
     proc = run_cli(["ss", "--input", str(DATA / "reducible.json")])
     assert proc.returncode == EXIT_INVALID

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropspan import (INSTANCES, Matrix, NotSquare, ShapeMismatch, TrConditionViolated,
-                      ZeroEntry, asterate, is_irreducible, is_regular, max_plus,
-                      max_times, min_plus, ones, vector)
+                      ZeroEntry, asterate, is_regular, max_plus, max_times, min_plus,
+                      ones)
 from support import (COMBINED, COMBINED_CONJ, COMBINED_TIMES_CONJ, NEG_INF,
                      SF_TIMES_CONJ, SS_SQUARED, SS_STAR, START_FINISH,
                      START_FINISH_CONJ, START_START, col, counted_products,
-                     generic_max_plus, mp, power_series_asterate,
+                     generic_max_plus, is_irreducible, mp, power_series_asterate,
                      rng_feasible_constraint, rng_finite, rng_irreducible, sub_unit,
                      tr_closure)
 
@@ -59,7 +59,7 @@ def test_none_means_zero_and_minus_zero_is_canonical():
 
 
 def test_vector_helpers_and_indexing():
-    x = vector(max_plus, [0, -1, -3])
+    x = Matrix.column(max_plus, [0, -1, -3])
     assert x.shape == (3, 1)
     assert x[1] == -1
     assert x[2, 0] == -3

@@ -1,16 +1,18 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from tropspan import (BoxFamily, InvariantViolation, Matrix, NotIrreducible,
+from tropspan import (INSTANCES, BoxFamily, InvariantViolation, Matrix, NotIrreducible,
                       NotSquare, Schedule, ShapeMismatch, SolutionReport,
                       TrConditionViolated, latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
                       max_plus)
-from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, mp,
-                     random_feasible_constraint, random_zero_free,
-                     raw_satisfies_constraint, raw_span)
+from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, is_irreducible,
+                     mp, random_feasible_constraint, random_zero_free,
+                     raw_satisfies_constraint, raw_span, rng_matrix, sub_unit,
+                     tr_closure)
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +78,11 @@ def test_initiation_spread_forced_equal_starts():
     assert report.delta == 0
 
 
+# reducible (no arc reaches index 3) and infeasible (the cycle 1 → 2 → 1
+# weighs 2): the constraints admit no schedule, and that is the refusal
+REDUCIBLE_INFEASIBLE = [[None, 1, None], [1, None, None], [None, None, None]]
+
+
 def test_initiation_spread_error_cases():
     with pytest.raises(TrConditionViolated):
         max_initiation_spread(mp([[1]]))
@@ -83,6 +90,60 @@ def test_initiation_spread_error_cases():
         max_initiation_spread(mp([[None, 0], [None, None]]))
     with pytest.raises(NotSquare):
         max_initiation_spread(mp([[1, 2]]))
+    with pytest.raises(TrConditionViolated, match="^the closed walk through index 2 "
+                       "has weight 2, which exceeds the unit 0$"):
+        max_initiation_spread(mp(REDUCIBLE_INFEASIBLE))
+    # a 1×1 C is irreducible exactly when its entry is nonzero
+    with pytest.raises(NotIrreducible):
+        max_initiation_spread(mp([[None]]))
+    assert max_initiation_spread(mp([[-1]])).report.delta == 0
+
+
+def _random_constraint(rng, sf):
+    """Square C of size 1-8 at a random density; each arc is w ⊗ pot[i] ⊗
+    pot[j]⁻¹, where w may rise above 𝟙, so some C are infeasible."""
+    n = rng.randint(1, 8)
+    zero_prob = rng.choice((0.0, 0.3, 0.6, 0.85))
+    lowest = rng.choice((0, -1, -2))   # sub_unit(sf, k) lies above 𝟙 for k < 0
+    pot = [sub_unit(sf, rng.randint(-3, 3)) for _ in range(n)]
+    rows = [[sf.zero] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        if rng.random() >= zero_prob:
+            w = sub_unit(sf, rng.randint(lowest, 6))
+            rows[i][j] = sf.mul(w, sf.mul(pot[i], sf.inv(pot[j])))
+    return Matrix(sf, rows)
+
+
+@pytest.mark.parametrize("sf", INSTANCES, ids=lambda sf: sf.name)
+def test_initiation_spread_refusals_match_the_references(sf):
+    # infeasible by the trace closure refuses as infeasible, whatever the
+    # pattern; else reducible by the depth-first searches refuses as
+    # reducible; else it solves.  `combined`, on a zero-free A, refuses
+    # exactly the infeasible C and solves the rest.
+    rng = random.Random(sf.name)
+    seen = Counter()
+    for _ in range(250):
+        c = _random_constraint(rng, sf)
+        a = rng_matrix(rng, sf, c.rows, c.rows)
+        feasible = sf.leq(tr_closure(c), sf.one)
+        irreducible = is_irreducible(c)
+        seen[feasible, irreducible] += 1
+        if not feasible:
+            with pytest.raises(TrConditionViolated):
+                max_initiation_spread(c)
+            with pytest.raises(TrConditionViolated):
+                max_completion_spread_constrained(a, c)
+            continue
+        if irreducible:
+            report, closure = max_initiation_spread(c)
+            assert closure.is_zero_free()
+            assert report.families
+        else:
+            with pytest.raises(NotIrreducible):
+                max_initiation_spread(c)
+        assert max_completion_spread_constrained(a, c).report.families
+    # every outcome, reducible and infeasible included, is exercised
+    assert len(seen) == 4, seen
 
 
 @pytest.mark.parametrize("seed", range(6))
