@@ -10,13 +10,15 @@ A product hands the rows of its left operand and the columns of its
 right one to `Semifield.product`, which makes one `Semifield.dot` call
 per output entry, except where `max_plus` finds the entry from the
 maxima of its row and column.  The star closure `asterate` is one
-O(n^3) Floyd–Warshall pass that also decides feasibility: C ⊗ x ≤ x
-has a regular solution exactly when C has no cycle heavier than 𝟙,
-which `asterate` checks.  It updates a whole row at a time with
-`Semifield.add_scaled`, which runs on builtins for `max_plus`.  A 𝟘
-at (i, j) of the closure marks an unreachable pair: no walk of C's
-arcs leads from j to i, so an n×n C with n ≥ 2 is irreducible exactly
-when its closure is zero-free.
+O(n^3) Floyd–Warshall pass, `Semifield.star`, that also decides
+feasibility: C ⊗ x ≤ x has a regular solution exactly when C has no
+cycle heavier than 𝟙, which the pass checks at each pivot.  It
+updates a whole row at a time: by `Semifield.add_scaled` in the
+generic loop, and for an integer `max_plus` matrix by a few int
+operations on rows packed into one int each.  A 𝟘 at (i, j) of the
+closure marks an unreachable pair: no walk of C's arcs leads from j to
+i, so an n×n C with n ≥ 2 is irreducible exactly when its closure is
+zero-free.
 """
 
 from __future__ import annotations
@@ -270,29 +272,20 @@ def is_regular(x: Matrix) -> bool:
 def asterate(a: Matrix) -> Matrix:
     """Star closure I ⊕ a ⊕ ... ⊕ aⁿ⁻¹ of an n×n matrix.
 
-    One Floyd–Warshall pass (Butkovič, Max-linear Systems, 2010, §1.6).
-    Pivot k sees every cycle whose highest node is k on the diagonal, so
-    a cycle heavier than 𝟙, where the series has no finite value, raises
-    `TrConditionViolated` naming k and the weight of its closed walk.
-    Otherwise the result is I ⊕ a⁺, equal to the series because a
-    heaviest walk need not repeat a node.
+    One Floyd–Warshall pass (Butkovič, Max-linear Systems, 2010, §1.6),
+    made by `Semifield.star`.  Pivot k sees every cycle whose highest
+    node is k on the diagonal, so a cycle heavier than 𝟙, where the
+    series has no finite value, raises `TrConditionViolated` naming k and
+    the weight of its closed walk.  Otherwise the result is I ⊕ a⁺, equal
+    to the series because a heaviest walk need not repeat a node.
     """
     if a.rows != a.cols:
         raise NotSquare("the asterate is defined for square matrices")
     sf = a.sf
-    add, add_scaled, zero, one = sf.add, sf.add_scaled, sf.zero, sf.one
-    c = [list(r) for r in a.data]
-    for k, ck in enumerate(c):
-        if not sf.leq(ck[k], one):
-            raise TrConditionViolated(
-                f"the closed walk through index {k + 1} has weight "
-                f"{_fmt(ck[k])}, which exceeds the unit {_fmt(one)}")
-        for i, ci in enumerate(c):
-            cik = ci[k]
-            # row k cannot grow, as c[k][k] ≤ 𝟙; 𝟘 ⊗ anything is 𝟘, neutral for ⊕
-            if i != k and cik != zero:
-                c[i] = add_scaled(ci, cik, ck)
-    for i, ci in enumerate(c):
-        ci[i] = add(one, ci[i])
-    return Matrix._wrap(sf, tuple(map(tuple, c)))
-
+    try:
+        return Matrix._wrap(sf, sf.star(a.data))
+    except TrConditionViolated as exc:
+        k, weight = exc.args
+        raise TrConditionViolated(
+            f"the closed walk through index {k + 1} has weight "
+            f"{_fmt(weight)}, which exceeds the unit {_fmt(sf.one)}") from None

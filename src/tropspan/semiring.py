@@ -22,26 +22,52 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
-Besides the scalar operations, every semifield has four vector
+Besides the scalar operations, every semifield has five vector
 operations, the inner loops of matrix products, closures and checks:
 
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
     product(rows, cols)   the rows of the matrix of every dot(r, c)
     add_scaled(x, s, y)   the list of xⱼ ⊕ s ⊗ yⱼ
     contains_all(v)       whether every vⱼ is a carrier element
+    star(rows)            the rows of the star closure of a square matrix
 
 Their generic default is a plain loop over `add`, `mul`, `dot` or
-`contains`.  `max_plus` overrides all four, which gives the same
-values.  Three run on builtins: `max` over `operator.add`, one
-comparison per entry, and `math.isfinite` with a `min`/`max` range
-check.  Its `product` writes max(r) + max(c) without a scan wherever
-r and c attain their maxima at a common index, when both operands
-hold only ints and the right one has at least three columns, at least
-half of which tie at their maximum; other entries, and other
-operands, take one `dot` each.  In `dot` and `add_scaled`, as in
-`add`, the left operand wins a tie: the earlier term of a dot
+`contains`; `star` is one Floyd–Warshall pass of `add_scaled` row
+updates, which raises `TrConditionViolated` with the arguments
+(k, weight) at the first pivot k whose closed walk outweighs 𝟙.
+`max_plus` overrides all five, which gives the same values.  Three run
+on builtins: `max` over `operator.add`, one comparison per entry, and
+`math.isfinite` with a `min`/`max` range check, or the range check
+alone on a list of ints only.  Its `product` writes max(r) + max(c)
+without a scan wherever r and c attain their maxima at a common index,
+when both operands hold only ints, the right one has at least three
+columns, and the argmax entries are many: with R rows, C columns and
+inner dimension n, (row argmaxes)·(column argmaxes) ≥ 4n(R + C), the
+point where the masks' cost meets the dots they save; other entries,
+and other operands, take one `dot` each.  In `dot` and `add_scaled`, as
+in `add`, the left operand wins a tie: the earlier term of a dot
 product, and xⱼ over s ⊗ yⱼ.  Ties matter because an int and an equal
 float (2**60 and 2.0**60) compare equal but print differently.
+
+Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
+field of w bits per entry ("SIMD within a register": Lamport, Multiple
+byte processing with full-word instructions, CACM 18(8), 1975), so a
+row update is a dozen int operations on whole rows in place of a loop
+over entries.  Field j holds c_ij + b with b = 2n·max|entry| + 1, or 0
+for 𝟘, and w is the narrowest of 8, 16, 32 and 64 bits that holds 2b
+below a guard bit.  The sum c_ik + c_kj is a carry-free add of row k
+to copies of c_ik; the guard bits of a subtraction mark the fields
+where c_ij stays, and a mask selects them.  The pivot order is that of
+the generic loop, so values, refusals and pivots are the same.  No
+field overflows: before pivot k every cycle on the nodes below k
+weighs at most 𝟙, so an entry is the weight of a simple path (at most
+(n-1)·max|entry| in size) or cycle (n·max|entry|), and every sum
+formed is at most 2n·max|entry|, the bound the CLI enforces.  A float
+anywhere takes the generic loop, which keeps the left operand of an
+int/float tie, and so do ints too large for 64-bit fields
+(4n·max|entry| + 2 ≥ 2**63), where whole-row operations cost more than
+the loop: about 10 times as much at n = 160 with ints near the CLI's
+bound.
 
 Max-plus and min-plus are exact on ints: max, min and + of ints are
 ints.  A float sum rounds where it needs more than 53 bits, and
@@ -56,10 +82,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from collections.abc import Iterable, Sequence
 from itertools import chain, repeat
 
-from .errors import InversionOfZero
+from .errors import InversionOfZero, TrConditionViolated
 
 Scalar = int | float
 
@@ -79,6 +106,11 @@ def _is_number(a: object) -> bool:
 def _argmax_mask(v: Sequence[Scalar], top: Scalar) -> int:
     """The indices l with v[l] == top, as the bits 8·l of an int."""
     return int.from_bytes(bytes(map(operator.eq, v, repeat(top))), "little")
+
+
+# array type codes of the unsigned ints of 1, 2, 4 and 8 bytes, by size, in
+# increasing order
+_FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class Semifield:
@@ -145,6 +177,28 @@ class Semifield:
         """True when every entry of `values` is a carrier element."""
         return all(map(self.contains, values))
 
+    def star(self, rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
+        """The rows of the star closure I ⊕ A ⊕ ... ⊕ Aⁿ⁻¹ of the n×n matrix A.
+
+        One Floyd–Warshall pass of `add_scaled` row updates.  Raises
+        `TrConditionViolated` with the arguments (k, weight) at the first
+        pivot k whose closed walk weighs more than 𝟙.
+        """
+        add, add_scaled, zero, one = self.add, self.add_scaled, self.zero, self.one
+        c = [list(r) for r in rows]
+        for k, ck in enumerate(c):
+            if not self.leq(ck[k], one):
+                raise TrConditionViolated(k, ck[k])
+            for i, ci in enumerate(c):
+                cik = ci[k]
+                # row k cannot grow, as c[k][k] ≤ 𝟙; 𝟘 ⊗ anything is 𝟘,
+                # neutral for ⊕
+                if i != k and cik != zero:
+                    c[i] = add_scaled(ci, cik, ck)
+        for i, ci in enumerate(c):
+            ci[i] = add(one, ci[i])
+        return tuple(map(tuple, c))
+
     def __repr__(self) -> str:
         return f"<{self.name} semifield>"
 
@@ -180,20 +234,24 @@ class _MaxPlus(Semifield):
         # Every term r_l + c_l is at most max(r) + max(c), and an index l
         # where both maxima sit (the argmax bitmasks intersect) attains it.
         # With ints only no term is an equal float that would have to win
-        # the tie.  The masks pay only where they often meet: a column with
-        # one argmax rarely meets a row's, and a row's type check, maximum
-        # and mask cost about as much as two or three dots.
+        # the tie.  The masks pay only where they often meet: a row's or a
+        # column's type check, maximum and mask cost about as much as two or
+        # three dots.  Were the argmax positions independent and uniform, a
+        # row and a column would meet in about (row argmaxes)·(column
+        # argmaxes)/n of the R·C entries; the masks are built when that
+        # estimate reaches 4(R + C).
         if len(cols) < 3:
             return super().product(rows, cols)
         col_tops = list(map(max, cols))
-        tied = sum(map(operator.gt, map(operator.countOf, cols, col_tops), repeat(1)))
-        if (2 * tied < len(cols)
+        row_tops = list(map(max, rows))
+        if (sum(map(operator.countOf, rows, row_tops))
+                * sum(map(operator.countOf, cols, col_tops))
+                < 4 * len(cols[0]) * (len(rows) + len(cols))
                 or set(map(type, chain.from_iterable(cols))) != {int}
                 or set(map(type, chain.from_iterable(rows))) != {int}):
             return super().product(rows, cols)
         dot = self.dot
         by_col = list(zip(cols, col_tops, map(_argmax_mask, cols, col_tops)))
-        row_tops = list(map(max, rows))
         return tuple(tuple([r_top + top if r_mask & mask else dot(r, c)
                             for c, top, mask in by_col])
                      for r, r_top, r_mask in zip(rows, row_tops,
@@ -205,7 +263,10 @@ class _MaxPlus(Semifield):
     def contains_all(self, values):
         # by type, not isinstance: bools, float subclasses and strings
         # take the generic loop
-        if not set(map(type, values)) <= _NUMBER_TYPES:
+        types = set(map(type, values))
+        if types == {int}:   # ints are finite and never the zero -inf
+            return -sys.float_info.max <= min(values) and max(values) <= sys.float_info.max
+        if not types <= _NUMBER_TYPES:
             return super().contains_all(values)
         finite = list(filter(self.zero.__ne__, values))
         if not finite:
@@ -217,6 +278,54 @@ class _MaxPlus(Semifield):
             return False
         # exact: an int just past the largest float converts without overflow
         return -sys.float_info.max <= min(finite) and max(finite) <= sys.float_info.max
+
+    def star(self, rows):
+        # packed rows: the module docstring states the encoding, its gates
+        # and why no field overflows
+        zero = self.zero
+        finite = [v for r in rows for v in r if v != zero]
+        if not set(map(type, finite)) <= {int}:
+            return super().star(rows)
+        n = len(rows)
+        b = 2 * n * max(map(abs, finite), default=0) + 1
+        # the narrowest field that holds 2b with a guard bit above it
+        size = next((s for s in _FIELD_CODES if 8 * s > (2 * b).bit_length()), None)
+        if size is None:
+            return super().star(rows)
+        code, order = _FIELD_CODES[size], sys.byteorder
+
+        def pack(fields):
+            return int.from_bytes(array(code, fields).tobytes(), order)
+
+        w = 8 * size
+        g = w - 1                              # the guard bit's place in a field
+        field = (1 << w) - 1
+        ones = pack([1] * n)
+        guards = ones << g
+        biases = b * ones
+        c = [pack([v + b if v != zero else 0 for v in r]) for r in rows]
+        for k, ck in enumerate(c):
+            at = w * k
+            ckk = ck >> at & field
+            if ckk > b:
+                raise TrConditionViolated(k, ckk - b)
+            real = ((ck | guards) - ones) & guards   # the guard bits of row k's finite fields
+            real -= real >> g                        # ... turned into their value bits
+            # c_kj, with 𝟘 read as 0 so that no field borrows from the next
+            base = (ck | biases & ~real) - biases
+            for i, ci in enumerate(c):
+                cik = ci >> at & field
+                if cik and i != k:
+                    t = (base + cik * ones) & real           # the fields c_ik ⊗ c_kj
+                    keep = ((ci | guards) - t) & guards      # guard bits where c_ij ≥ t_j
+                    c[i] = t ^ ((t ^ ci) & (keep - (keep >> g)))
+        closure = []
+        for i, ci in enumerate(c):
+            fields = memoryview(ci.to_bytes(size * n, order)).cast(code)
+            row = [f - b if f else zero for f in fields]
+            row[i] = self.one   # I ⊕: no cycle is heavier than 𝟙 once every pivot passed
+            closure.append(tuple(row))
+        return tuple(closure)
 
 
 class _MinPlus(Semifield):

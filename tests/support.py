@@ -4,13 +4,15 @@ Holds the 3-activity example project used throughout the suite, random
 instance builders whose preconditions hold by construction, reference
 closures by the paper's power series, a reference irreducibility test
 by depth-first search, a max-plus instance on the
-generic vector loops with a ⊗ counter for `max_plus`, raw max/+
+generic vector loops with a ⊗ counter for `max_plus` and a line counter
+for code that makes no countable call, raw max/+
 evaluators that give the tests an arithmetic path independent of the
 package's semifield operations, the inverse of the CLI's file parser,
 and a runner for subprocesses that import the package from src/.
 """
 
 import contextlib
+import inspect
 import os
 import random
 import subprocess
@@ -262,6 +264,7 @@ class _GenericMaxPlus(_MaxPlus):
     dot = Semifield.dot
     product = Semifield.product
     add_scaled = Semifield.add_scaled
+    star = Semifield.star
 
 
 generic_max_plus = _GenericMaxPlus()
@@ -307,6 +310,32 @@ def counted_products():
         yield counts
     finally:
         del max_plus.mul, max_plus.dot, max_plus.product, max_plus.add_scaled
+
+
+@contextlib.contextmanager
+def counted_line(func, text: str):
+    """Count the runs of the one source line of `func` that contains `text`.
+
+    A line tracer on `func`'s frames only, removed on exit; yields a
+    Counter whose "runs" is the count.  For code that makes no call a
+    shadow could count, such as the packed rows of `max_plus.star`.
+    """
+    lines, first = inspect.getsourcelines(func)
+    [target] = [first + i for i, line in enumerate(lines) if text in line]
+    code = func.__code__
+    counts = Counter()
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            counts["runs"] += 1
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,16 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropspan import (INSTANCES, Matrix, NotSquare, ShapeMismatch, TrConditionViolated,
-                      ZeroEntry, asterate, is_regular, max_plus, max_times, min_plus,
-                      ones)
+from tropspan import (INSTANCES, Matrix, NotSquare, Semifield, ShapeMismatch,
+                      TrConditionViolated, ZeroEntry, asterate, is_regular,
+                      latest_schedule, max_completion_spread_constrained, max_plus,
+                      max_times, min_plus, ones)
 from support import (COMBINED, COMBINED_CONJ, COMBINED_TIMES_CONJ, NEG_INF,
                      SF_TIMES_CONJ, SS_SQUARED, SS_STAR, START_FINISH,
-                     START_FINISH_CONJ, START_START, col, counted_products,
-                     generic_max_plus, is_irreducible, mp, power_series_asterate,
-                     rng_feasible_constraint, rng_finite, rng_irreducible, sub_unit,
-                     tr_closure)
+                     START_FINISH_CONJ, START_START, col, counted_line,
+                     counted_products, generic_max_plus, is_irreducible, mp,
+                     power_series_asterate, rng_feasible_constraint, rng_finite,
+                     rng_irreducible, sub_unit, tr_closure)
 
 
 def vectors(dim):
@@ -252,20 +253,28 @@ def test_asterate_matches_power_series():
 
 
 def test_asterate_does_at_most_n_cubed_products():
+    """The generic loop makes at most n³ ⊗; the packed integer rows of
+    `max_plus.star` make no counted call, so there the bound is on row
+    updates, each a fixed number of int operations on one packed row."""
     n = 40
     rng = random.Random(3)
     pot = [rng.randint(-5, 5) for _ in range(n)]
-    c = mp([[rng.randint(-6, 0) + pot[i] - pot[j] for j in range(n)] for i in range(n)])
+    rows = [[rng.randint(-6, 0) + pot[i] - pot[j] for j in range(n)] for i in range(n)]
     with counted_products() as counts:
-        closure = asterate(c)
+        generic = Semifield.star(max_plus, rows)
     assert 0 < counts["mul"] <= n ** 3   # the power series needs about 2n^4
+    with counted_line(type(max_plus).star, "c[i] = t ^") as updates:
+        closure = asterate(mp(rows))
+    assert 0 < updates["runs"] <= n * (n - 1)
+    assert closure.data == generic
     assert Matrix.identity(max_plus, n).leq(closure)
 
 
 def test_product_makes_one_dot_call_per_entry():
-    """Only 4 of b's 12 columns tie at their maximum, fewer than half, so
-    `max_plus.product` does not look for entries where a row's and a
-    column's maxima meet: each of the n² entries is one `dot`."""
+    """Only 14 entries of a's rows and 18 of b's columns are their vector's
+    maximum, and 14·18 is below 4n(R + C) = 1152, so `max_plus.product`
+    does not look for entries where a row's and a column's maxima meet:
+    each of the n² entries is one `dot`."""
     n = 12
     rng = random.Random(5)
     a, b = (mp([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
@@ -347,7 +356,7 @@ def _product_cases(rng, n):
         for name, entry in kinds.items():
             yield (f"{name} {n}x{width}", [[entry() for _ in range(n)] for _ in range(n)],
                    [[entry() for _ in range(width)] for _ in range(n)])
-        # distinct entries in every column: no column ties, so the gate is off
+        # distinct entries in every row and column: one argmax each, too few for the gate
         yield (f"tie-free {n}x{width}", [rng.sample(range(-n * n, n * n), n) for _ in range(n)],
                [list(r) for r in zip(*(rng.sample(range(-n * n, n * n), n)
                                        for _ in range(width)))])
@@ -377,6 +386,120 @@ def test_kernels_match_the_generic_loops(n):
     for name, a, b in _product_cases(rng, n):
         assert _typed(mp(a) @ mp(b)) == _typed(Matrix(generic_max_plus, a)
                                               @ Matrix(generic_max_plus, b)), name
+
+
+def _start_start(rng, n, density, scale=10):
+    """Entries p_i - p_j - slack on a Hamiltonian cycle plus arcs at `density`,
+    so x = p solves C ⊗ x ≤ x; potentials p in 0 .. scale·n."""
+    pot = [rng.randint(0, scale * n) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    arcs = {(order[k], order[(k + 1) % n]) for k in range(n)}
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in arcs or (i != j and rng.random() < density):
+                rows[i][j] = pot[i] - pot[j] - rng.randint(0, 3)
+    return rows, pot
+
+
+def _int_star_cases(rng, n):
+    """Integer max-plus matrices of size n at a random density: feasible,
+    with a planted positive cycle, reducible, with 𝟘 rows, with entries as
+    large as the widest packed field takes, and with entries near the
+    CLI's bound float max / 2n."""
+    rows, pot = _start_start(rng, n, rng.random())
+    yield "feasible", rows
+    heavy = [list(r) for r in rows]
+    i, j = rng.randrange(n), rng.randrange(n)
+    heavy[i][j], heavy[j][i] = pot[i] - pot[j] + 1, pot[j] - pot[i]
+    if i == j:
+        heavy[i][i] = 1
+    yield "positive cycle", heavy
+    m = rng.randint(0, n)
+    # arcs from the first m nodes to the others only: no walk leads back
+    yield "reducible", [[None if i < m <= j else v for j, v in enumerate(r)]
+                        for i, r in enumerate(rows)]
+    yield "zero rows", [[None] * n if rng.random() < 0.3 else r for r in rows]
+    # |entry| < 2**61 / n, so 4n·max|entry| + 2 fits 63 bits below the guard
+    widest = (2 ** 61 // n - 4) // n
+    yield "widest fields", _start_start(rng, n, rng.random(), scale=widest)[0]
+    top = int(sys.float_info.max) // (2 * n)
+    yield "near the bound", _start_start(rng, n, rng.random(), scale=top // (2 * n))[0]
+
+
+# whether `max_plus.star` packs the rows, where that depends on the entries' size
+_PACKS = {"widest fields": True, "near the bound": False}
+
+
+def _typed_kernel(star, rows):
+    """The typed rows of star(rows), or the typed (k, weight) of its refusal,
+    from which `asterate` writes its message."""
+    try:
+        return _typed(Matrix._wrap(max_plus, star(rows)))
+    except TrConditionViolated as exc:
+        return tuple((v, type(v)) for v in exc.args)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 14, 28, 64, 160])
+def test_packed_star_matches_the_generic_loop(n):
+    """`max_plus.star` packs the rows of an integer matrix in fields of up
+    to 8 bytes; in value and type, and in the pivot and weight of a
+    refusal, it agrees with the loop of `Semifield.star`."""
+    rng = random.Random(n)
+    for trial in range(max(1, 60 // n)):
+        for name, rows in _int_star_cases(rng, n):
+            rows = mp(rows).data
+            expected = _typed_kernel(lambda r: Semifield.star(max_plus, r), rows)
+            with counted_line(type(max_plus).star, "c[i] = t ^") as updates:
+                assert _typed_kernel(max_plus.star, rows) == expected, (name, trial)
+            if n > 1 and name in _PACKS:
+                assert (updates["runs"] > 0) is _PACKS[name], name
+            if name == "positive cycle":
+                assert isinstance(expected, tuple)
+
+
+def test_star_of_ints_and_floats_takes_the_generic_loop():
+    """2**60 and 2.0**60 tie; the entry first found keeps its type, as the
+    generic loop keeps the left operand of a tie."""
+    big = 2 ** 60
+    for first, via in ((float(big), big - 5), (big, float(big) - 5)):
+        rows = [[0, first, via], [None, 0, None], [None, 5, 0]]
+        closure = _typed_star(mp(rows))
+        assert closure == _typed_star(Matrix(generic_max_plus, rows))
+        assert closure[0][1] == (big, type(first))
+
+
+def test_products_of_constrained_operands_match_the_generic_loop():
+    """The products of `combined --latest` at n 12–28: A ⊗ C*, C* ⊗ X and
+    A ⊗ (C* ⊗ X).  In two of them most columns tie at their maximum, but
+    the rows' and the columns' argmaxes seldom meet, so each entry is one
+    `dot`."""
+    rng = random.Random(27)
+    products = []
+    product = max_plus.product
+
+    def spy(rows, cols):
+        products.append((rows, cols))
+        return product(rows, cols)
+
+    for n in (12, 17, 23, 28):
+        for density in (rng.uniform(0.1, 0.5), 1.0):
+            a = mp([[rng.randint(0, 9) for _ in range(n)] for _ in range(n)])
+            c = mp(_start_start(rng, n, density)[0])
+            max_plus.product = spy
+            try:
+                report = max_completion_spread_constrained(a, c)
+                latest_schedule(report.report, report.closure, a)
+            finally:
+                del max_plus.product
+    assert len(products) == 24
+    for rows, cols in products:
+        shape = (len(rows), len(cols[0]), len(cols))
+        assert (_typed(Matrix._wrap(max_plus, max_plus.product(rows, cols)))
+                == _typed(Matrix._wrap(max_plus, Semifield.product(max_plus, rows, cols)))), shape
+        with counted_products() as counts:
+            max_plus.product(rows, cols)
+        assert counts["dot"] == len(rows) * len(cols), shape
 
 
 def test_asterate_dominates_identity():
