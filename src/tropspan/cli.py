@@ -22,7 +22,7 @@ import sys
 from itertools import chain, repeat
 
 from .errors import InvariantViolation, TrConditionViolated, TropicalError
-from .matvec import Matrix
+from .matvec import Matrix, _fmt
 from .scheduling import (latest_schedule, max_completion_spread,
                          max_completion_spread_constrained, max_initiation_spread)
 from .semiring import max_plus
@@ -165,18 +165,6 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
     return Matrix._wrap(max_plus, tuple(map(tuple, rows))), largest
 
 
-def _plain(v):
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return v
-
-
-def _plain_list(values) -> list:
-    """The list of `values`, through `_plain` only if one of them is a float."""
-    values = list(values)
-    return list(map(_plain, values)) if float in map(type, values) else values
-
-
 def _dispatch(command: str, start_finish: Matrix | None, start_start: Matrix | None):
     if command == "sf":
         if start_finish is None:
@@ -196,11 +184,11 @@ def _dispatch(command: str, start_finish: Matrix | None, start_start: Matrix | N
 
 _STATUS_JSON = ('{\n  "status": "%s",\n  "delta": null,\n  "pairs": [],\n'
                 '  "families": [],\n  "schedules": []\n}\n')
-_DOCUMENT = ('{\n  "status": "ok",\n  "delta": %r,\n  "pairs": %s,\n'
+_DOCUMENT = ('{\n  "status": "ok",\n  "delta": %s,\n  "pairs": %s,\n'
              '  "families": %s,\n  "schedules": %s\n}\n')
 _PAIR = '{\n      "k": %d,\n      "s": %d\n    }'
-_FAMILY = '{\n      "pinned_index": %d,\n      "pinned_value": %r,\n      "upper_bounds": '
-_SCHEDULE = '{\n      "initiation": %s,%s\n      "span": %r\n    }'
+_FAMILY = '{\n      "pinned_index": %d,\n      "pinned_value": %s,\n      "upper_bounds": '
+_SCHEDULE = '{\n      "initiation": %s,%s\n      "span": %s\n    }'
 
 
 def _list_text(items: list, indent: str) -> str:
@@ -209,9 +197,10 @@ def _list_text(items: list, indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
 
 
-def _numbers(values: list) -> str:
-    # finite ints and floats: repr is their json form
-    return _list_text(list(map(repr, values)), "      ")
+def _texts(values) -> list[str]:
+    """The json and text form of each number: `repr` on a list of ints, else `_fmt`."""
+    values = list(values)
+    return list(map(_fmt if float in map(type, values) else repr, values))
 
 
 def _render_status(status: str, fmt: str) -> str:
@@ -222,23 +211,23 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     """The json or text output of a solved run, written straight from the report.
 
     The families of one row share one bounds tuple, so each distinct
-    tuple is shifted by alpha, made printable and written once, keyed
+    tuple is shifted by alpha, turned into texts and written once, keyed
     by its id; each pair and each family is then one template fill.
     """
     mul = max_plus.mul
-    shifted: dict[int, list] = {}
+    shifted: dict[int, list[str]] = {}
     for fam in report.families:
         if id(fam.upper_bounds) not in shifted:
-            shifted[id(fam.upper_bounds)] = _plain_list(map(mul, repeat(alpha), fam.upper_bounds))
-    schedules = [(_plain_list(chain.from_iterable(sched.initiation.data)),
+            shifted[id(fam.upper_bounds)] = _texts(map(mul, repeat(alpha), fam.upper_bounds))
+    schedules = [(_texts(chain.from_iterable(sched.initiation.data)),
                   None if sched.completion is None
-                  else _plain_list(chain.from_iterable(sched.completion.data)),
-                  _plain(sched.span))
+                  else _texts(chain.from_iterable(sched.completion.data)),
+                  _fmt(sched.span))
                  for sched in (latest_schedule(report, closure, completion_matrix, alpha)
                                if latest else ())]
-    delta = _plain(report.delta)
+    delta = _fmt(report.delta)
     if fmt == "json":
-        bounds = {key: _numbers(values) for key, values in shifted.items()}
+        bounds = {key: _list_text(values, "      ") for key, values in shifted.items()}
         # a family is its head, filled, then its row's bounds text: one shared
         # string, joined once with the rest instead of copied into each family
         pieces, sep = [], "[\n    "
@@ -249,8 +238,8 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
             sep = "\n    },\n    "
         families = "".join(pieces) + "\n    }\n  ]" if pieces else "[]"
         pairs = [_PAIR % (k + 1, s + 1) for k, s in report.pairs]
-        entries = [_SCHEDULE % (_numbers(x), "" if y is None else
-                                f'\n      "completion": {_numbers(y)},', span)
+        entries = [_SCHEDULE % (_list_text(x, "      "), "" if y is None else
+                                f'\n      "completion": {_list_text(y, "      ")},', span)
                    for x, y, span in schedules]
         return _DOCUMENT % (delta, _list_text(pairs, "  "), families, _list_text(entries, "  "))
     var = "u" if closure is not None else "x"
@@ -263,9 +252,9 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
         pinned = f"{var}{i + 1} = {shifted[id(fam.upper_bounds)][i]}"
         lines.append(f"family k={k + 1} s={s + 1}: " + ", ".join([*row[:i], pinned, *row[i + 1:]]))
     for x, y, span in schedules:
-        piece = f"schedule: initiation = ({', '.join(map(str, x))})"
+        piece = f"schedule: initiation = ({', '.join(x)})"
         if y is not None:
-            piece += f", completion = ({', '.join(map(str, y))})"
+            piece += f", completion = ({', '.join(y)})"
         lines.append(piece + f", span = {span}")
     return "\n".join(lines) + "\n"
 

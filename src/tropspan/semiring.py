@@ -36,18 +36,19 @@ Their generic default is a plain loop over `add`, `mul`, `dot` or
 updates, which raises `TrConditionViolated` with the arguments
 (k, weight) at the first pivot k whose closed walk outweighs 𝟙.
 `max_plus` overrides all five, which gives the same values.  Three run
-on builtins: `max` over `operator.add`, one comparison per entry, and
-`math.isfinite` with a `min`/`max` range check, or the range check
-alone on a list of ints only.  Its `product` writes max(r) + max(c)
-without a scan wherever r and c attain their maxima at a common index,
-when both operands hold only ints, the right one has at least three
-columns, and the argmax entries are many: with R rows, C columns and
-inner dimension n, (row argmaxes)·(column argmaxes) ≥ 4n(R + C), the
-point where the masks' cost meets the dots they save; other entries,
-and other operands, take one `dot` each.  In `dot` and `add_scaled`, as
-in `add`, the left operand wins a tie: the earlier term of a dot
-product, and xⱼ over s ⊗ yⱼ.  Ties matter because an int and an equal
-float (2**60 and 2.0**60) compare equal but print differently.
+on builtins: `dot` is `max` over `operator.add`, `add_scaled` one
+comparison per entry, and `contains_all` the range check on a list of
+ints; anything else takes the generic loop.  Its `product` writes
+max(r) + max(c) without a scan wherever r and c attain their maxima at
+a common index, when both operands hold only ints, the right one has
+at least three columns, and the argmax entries are many: with R rows,
+C columns and inner dimension n, (row argmaxes)·(column argmaxes) ≥
+4n(R + C), the point where the masks' cost meets the dots they save;
+other entries, and other operands, take one `dot` each.  In `dot` and
+`add_scaled`, as in `add`, the left operand wins a tie: the earlier
+term of a dot product, and xⱼ over s ⊗ yⱼ.  Ties matter because an
+int and an equal float (2**60 and 2.0**60) compare equal but print
+differently.
 
 Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
@@ -89,8 +90,6 @@ from itertools import chain, repeat
 from .errors import InversionOfZero, TrConditionViolated
 
 Scalar = int | float
-
-_NUMBER_TYPES = frozenset((int, float))
 
 
 def _is_number(a: object) -> bool:
@@ -261,23 +260,11 @@ class _MaxPlus(Semifield):
         return _is_number(a) and a < math.inf
 
     def contains_all(self, values):
-        # by type, not isinstance: bools, float subclasses and strings
-        # take the generic loop
-        types = set(map(type, values))
-        if types == {int}:   # ints are finite and never the zero -inf
+        # by type, not isinstance: bools, floats and strings take the
+        # generic loop; ints are never NaN, infinite or the zero -inf
+        if set(map(type, values)) == {int}:
             return -sys.float_info.max <= min(values) and max(values) <= sys.float_info.max
-        if not types <= _NUMBER_TYPES:
-            return super().contains_all(values)
-        finite = list(filter(self.zero.__ne__, values))
-        if not finite:
-            return True
-        try:
-            if not all(map(math.isfinite, finite)):   # NaN or +inf
-                return False
-        except OverflowError:   # an int too large to convert to a float
-            return False
-        # exact: an int just past the largest float converts without overflow
-        return -sys.float_info.max <= min(finite) and max(finite) <= sys.float_info.max
+        return super().contains_all(values)
 
     def star(self, rows):
         # packed rows: the module docstring states the encoding, its gates

@@ -312,7 +312,7 @@ def _random_project(rng, command):
 
 def _reports():
     """(report, closure, completion matrix) of random and all-tied runs and
-    of a hand-built report whose numbers print in every way json has."""
+    of two hand-built reports whose numbers print in every way json has."""
     rng = random.Random(11)
     for command in ("sf", "ss", "combined"):
         for _ in range(25):
@@ -331,6 +331,11 @@ def _reports():
     families = (BoxFamily(max_plus, 0, bounds), BoxFamily(max_plus, 1, bounds),
                 BoxFamily(max_plus, 3, list(bounds)), BoxFamily(max_plus, 4, list(bounds)))
     yield SolutionReport(2.5, ((0, 0), (1, 0), (3, 1), (4, 2)), families), None, None
+    # the smallest positive float, a sum that rounds, an integral float past 2**53
+    # and the largest float; 10**22 == 1e22, but alpha 7 keeps only the int exact
+    bounds = (5e-324, -0.0, 0.1 + 0.2, 2.0**53 + 2, 10**22, 1e22, sys.float_info.max, -2.5)
+    families = tuple(BoxFamily(max_plus, i, bounds) for i in (0, 2, 4, 5, 6, 7))
+    yield SolutionReport(0.1 + 0.2, tuple((i, i) for i in range(6)), families), None, None
 
 
 def test_writer_matches_the_reference_documents():
@@ -343,7 +348,7 @@ def test_writer_matches_the_reference_documents():
                 assert _render(*args, "json") == json.dumps(doc, indent=2) + "\n"
                 assert _render(*args, "text") == text(doc, closure is not None)
                 count += 1
-    assert count == (3 * 25 + 3) * 4
+    assert count == (3 * 25 + 4) * 4
     for status in ("infeasible", "invalid_input"):
         doc = status_document(status)
         assert _render_status(status, "json") == json.dumps(doc, indent=2) + "\n"
