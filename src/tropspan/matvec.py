@@ -13,8 +13,8 @@ maxima of its row and column.  The star closure `asterate` is one
 O(n^3) Floyd–Warshall pass, `Semifield.star`, that also decides
 feasibility: C ⊗ x ≤ x has a regular solution exactly when C has no
 cycle heavier than 𝟙, which the pass checks at each pivot.  It
-updates a whole row at a time: by `Semifield.add_scaled` in the
-generic loop, and for an integer `max_plus` matrix by a few int
+updates a whole row at a time: by a loop over `add` and `mul` in the
+generic pass, and for an integer `max_plus` matrix by a few int
 operations on rows packed into one int each.  A 𝟘 at (i, j) of the
 closure marks an unreachable pair: no walk of C's arcs leads from j to
 i, so an n×n C with n ≥ 2 is irreducible exactly when its closure is

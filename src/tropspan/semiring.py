@@ -22,33 +22,32 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
-Besides the scalar operations, every semifield has five vector
+Besides the scalar operations, every semifield has four vector
 operations, the inner loops of matrix products, closures and checks:
 
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
     product(rows, cols)   the rows of the matrix of every dot(r, c)
-    add_scaled(x, s, y)   the list of xⱼ ⊕ s ⊗ yⱼ
     contains_all(v)       whether every vⱼ is a carrier element
     star(rows)            the rows of the star closure of a square matrix
 
 Their generic default is a plain loop over `add`, `mul`, `dot` or
-`contains`; `star` is one Floyd–Warshall pass of `add_scaled` row
-updates, which raises `TrConditionViolated` with the arguments
-(k, weight) at the first pivot k whose closed walk outweighs 𝟙.
-`max_plus` overrides all five, which gives the same values.  Three run
-on builtins: `dot` is `max` over `operator.add`, `add_scaled` one
-comparison per entry, and `contains_all` the range check on a list of
-ints; anything else takes the generic loop.  Its `product` writes
-max(r) + max(c) without a scan wherever r and c attain their maxima at
-a common index, when both operands hold only ints, the right one has
-at least three columns, and the argmax entries are many: with R rows,
-C columns and inner dimension n, (row argmaxes)·(column argmaxes) ≥
-4n(R + C), the point where the masks' cost meets the dots they save;
-other entries, and other operands, take one `dot` each.  In `dot` and
-`add_scaled`, as in `add`, the left operand wins a tie: the earlier
-term of a dot product, and xⱼ over s ⊗ yⱼ.  Ties matter because an
-int and an equal float (2**60 and 2.0**60) compare equal but print
-differently.
+`contains`; `star` is one Floyd–Warshall pass of row updates
+c_ij ⊕ c_ik ⊗ c_kj, a loop over `add` and `mul`, which raises
+`TrConditionViolated` with the arguments (k, weight) at the first
+pivot k whose closed walk outweighs 𝟙.  `max_plus` overrides all four,
+which gives the same values.  Two run on builtins: `dot` is `max` over
+`operator.add`, for any number type, and `contains_all` the range
+check on a list of ints; anything else takes the generic loop.  Its
+`product` writes max(r) + max(c) without a scan wherever r and c
+attain their maxima at a common index, when both operands hold only
+ints, the right one has at least three columns, and the argmax entries
+are many: with R rows, C columns and inner dimension n,
+(row argmaxes)·(column argmaxes) ≥ 4n(R + C), the point where the
+masks' cost meets the dots they save; other entries, and other
+operands, take one `dot` each.  In `dot`, as in the generic loop's
+`add(a, …)`, the left operand wins a tie: the earlier term of a dot
+product, and c_ij over c_ik ⊗ c_kj.  Ties matter: an int and an equal
+float (2**60 and 2.0**60) compare equal but print differently.
 
 Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
@@ -166,12 +165,6 @@ class Semifield:
         dot = self.dot
         return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
 
-    def add_scaled(self, x: Sequence[Scalar], s: Scalar,
-                   y: Sequence[Scalar]) -> list[Scalar]:
-        """The list of xⱼ ⊕ s ⊗ yⱼ for two vectors of one length."""
-        add, mul = self.add, self.mul
-        return [add(a, mul(s, b)) for a, b in zip(x, y)]
-
     def contains_all(self, values: Sequence[object]) -> bool:
         """True when every entry of `values` is a carrier element."""
         return all(map(self.contains, values))
@@ -179,11 +172,12 @@ class Semifield:
     def star(self, rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
         """The rows of the star closure I ⊕ A ⊕ ... ⊕ Aⁿ⁻¹ of the n×n matrix A.
 
-        One Floyd–Warshall pass of `add_scaled` row updates.  Raises
-        `TrConditionViolated` with the arguments (k, weight) at the first
-        pivot k whose closed walk weighs more than 𝟙.
+        One Floyd–Warshall pass of row updates c_ij ⊕ c_ik ⊗ c_kj over
+        `add` and `mul`.  Raises `TrConditionViolated` with the arguments
+        (k, weight) at the first pivot k whose closed walk weighs more
+        than 𝟙.
         """
-        add, add_scaled, zero, one = self.add, self.add_scaled, self.zero, self.one
+        add, mul, zero, one = self.add, self.mul, self.zero, self.one
         c = [list(r) for r in rows]
         for k, ck in enumerate(c):
             if not self.leq(ck[k], one):
@@ -193,7 +187,7 @@ class Semifield:
                 # row k cannot grow, as c[k][k] ≤ 𝟙; 𝟘 ⊗ anything is 𝟘,
                 # neutral for ⊕
                 if i != k and cik != zero:
-                    c[i] = add_scaled(ci, cik, ck)
+                    c[i] = [add(a, mul(cik, b)) for a, b in zip(ci, ck)]
         for i, ci in enumerate(c):
             ci[i] = add(one, ci[i])
         return tuple(map(tuple, c))
@@ -225,9 +219,6 @@ class _MaxPlus(Semifield):
     # max returns the first of equal maxima, and a >= t keeps a on a tie
     def dot(self, r, c):
         return max(map(operator.add, r, c))
-
-    def add_scaled(self, x, s, y):
-        return [a if a >= (t := s + b) else t for a, b in zip(x, y)]
 
     def product(self, rows, cols):
         # Every term r_l + c_l is at most max(r) + max(c), and an index l

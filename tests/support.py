@@ -263,7 +263,6 @@ class _GenericMaxPlus(_MaxPlus):
     name = "generic max-plus"
     dot = Semifield.dot
     product = Semifield.product
-    add_scaled = Semifield.add_scaled
     star = Semifield.star
 
 
@@ -274,16 +273,16 @@ generic_max_plus = _GenericMaxPlus()
 def counted_products():
     """Count the ⊗ that `max_plus` makes inside the block.
 
-    Shadows `mul`, `dot`, `product` and `add_scaled` on the instance and
-    removes the shadows on exit.  A `dot` or `add_scaled` call counts one
-    ⊗ per vector entry, as its generic loop would make.  A `product`
-    counts its `dot` calls so, and one ⊗, max(r) + max(c), for each entry
-    it finds without one.  Yields a Counter: "mul" is the total and "dot"
-    the number of `dot` calls.
+    Shadows `mul`, `dot` and `product` on the instance and removes the
+    shadows on exit.  A `dot` call counts one ⊗ per vector entry, as its
+    generic loop would make.  A `product` counts its `dot` calls so, and
+    one ⊗, max(r) + max(c), for each entry it finds without one.  The
+    generic `star` loop is counted through `mul`, one ⊗ per entry of a
+    row update.  Yields a Counter: "mul" is the total and "dot" the
+    number of `dot` calls.
     """
     counts = Counter()
-    mul, dot, product, add_scaled = (max_plus.mul, max_plus.dot, max_plus.product,
-                                     max_plus.add_scaled)
+    mul, dot, product = max_plus.mul, max_plus.dot, max_plus.product
 
     def counted_mul(a, b):
         counts["mul"] += 1
@@ -300,16 +299,11 @@ def counted_products():
         counts["mul"] += len(rows) * len(cols) - (counts["dot"] - dots)
         return out
 
-    def counted_add_scaled(x, s, y):
-        counts["mul"] += len(y)
-        return add_scaled(x, s, y)
-
-    max_plus.mul, max_plus.dot, max_plus.product, max_plus.add_scaled = (
-        counted_mul, counted_dot, counted_product, counted_add_scaled)
+    max_plus.mul, max_plus.dot, max_plus.product = counted_mul, counted_dot, counted_product
     try:
         yield counts
     finally:
-        del max_plus.mul, max_plus.dot, max_plus.product, max_plus.add_scaled
+        del max_plus.mul, max_plus.dot, max_plus.product
 
 
 @contextlib.contextmanager

@@ -215,32 +215,45 @@ def _heavy(rng, sf):
     return sf.inv(sub_unit(sf, rng.randint(1, 20)))
 
 
+def _cases_over(rng, sf):
+    """Feasible matrices over `sf` and, from each, heavy, sparse and reducible ones."""
+    for t in range(5):
+        c = rng_feasible_constraint(rng, sf, max_n=30)
+        yield f"{sf.name} feasible {t}", c
+        rows = c.to_lists()
+        i, j = rng.randrange(c.rows), rng.randrange(c.rows)
+        rows[i][j] = _heavy(rng, sf)
+        yield f"{sf.name} heavy arc ({i}, {j}) {t}", Matrix(sf, rows)
+        rows = c.to_lists()
+        rows[i][i] = _heavy(rng, sf)
+        yield f"{sf.name} heavy self-loop {i} {t}", Matrix(sf, rows)
+        # sparse: most arcs removed, so the digraph is usually reducible
+        rows = [[v if rng.random() < 0.15 else sf.zero for v in r]
+                for r in c.to_lists()]
+        yield f"{sf.name} sparse {t}", Matrix(sf, rows)
+        # reducible: two feasible diagonal blocks, arbitrary arcs one way only
+        upper, lower = (rng_feasible_constraint(rng, sf, max_n=15).to_lists()
+                        for _ in range(2))
+        m, n = len(upper), len(lower)
+        rows = ([r + [sf.zero] * n for r in upper]
+                + [[rng_finite(rng, sf) for _ in range(m)] + r for r in lower])
+        yield f"{sf.name} reducible {t}", Matrix(sf, rows)
+
+
 def _differential_cases():
     rng = random.Random(2024)
     for sf in INSTANCES:
         yield sf.name + " all-zero", Matrix.zeros(sf, 4, 4)
-        for t in range(5):
-            c = rng_feasible_constraint(rng, sf, max_n=30)
-            yield f"{sf.name} feasible {t}", c
-            rows = c.to_lists()
-            i, j = rng.randrange(c.rows), rng.randrange(c.rows)
-            rows[i][j] = _heavy(rng, sf)
-            yield f"{sf.name} heavy arc ({i}, {j}) {t}", Matrix(sf, rows)
-            rows = c.to_lists()
-            rows[i][i] = _heavy(rng, sf)
-            yield f"{sf.name} heavy self-loop {i} {t}", Matrix(sf, rows)
-            # sparse: most arcs removed, so the digraph is usually reducible
-            rows = [[v if rng.random() < 0.15 else sf.zero for v in r]
-                    for r in c.to_lists()]
-            yield f"{sf.name} sparse {t}", Matrix(sf, rows)
-            # reducible: two feasible diagonal blocks, arbitrary arcs one way only
-            upper, lower = (rng_feasible_constraint(rng, sf, max_n=15).to_lists()
-                            for _ in range(2))
-            m, n = len(upper), len(lower)
-            rows = ([r + [sf.zero] * n for r in upper]
-                    + [[rng_finite(rng, sf) for _ in range(m)] + r for r in lower])
-            yield f"{sf.name} reducible {t}", Matrix(sf, rows)
+        yield from _cases_over(rng, sf)
     yield "paper ss", mp(START_START)
+    # max-plus matrices with floats take the generic loop of `Semifield.star`.
+    # The integer cases divided by 4 keep their verdicts; quarters add exactly,
+    # so the power series is an independent reference by value.
+    for kind, entry in (("quarters", lambda v: v / 4),
+                        ("mixed", lambda v: v // 4 if v % 4 == 0 else v / 4)):
+        for name, c in _cases_over(rng, max_plus):
+            yield f"{name} {kind}", mp([[entry(v) if v != NEG_INF else v for v in r]
+                                        for r in c.data])
 
 
 def test_asterate_matches_power_series():

@@ -111,17 +111,9 @@ def test_max_plus_dot_matches_the_generic_loop(vectors):
     assert typed([max_plus.dot(r, c)]) == typed([Semifield.dot(max_plus, r, c)])
 
 
-@given(vectors=kernel_vectors(), s=kernel_entries())
-def test_max_plus_add_scaled_matches_the_generic_loop(vectors, s):
-    x, y = vectors
-    assert typed(max_plus.add_scaled(x, s, y)) == typed(Semifield.add_scaled(max_plus, x, s, y))
-
-
 def test_max_plus_kernels_keep_the_left_operand_of_a_tie():
     for left, right in ((BIG, float(BIG)), (float(BIG), BIG)):
         assert typed([max_plus.dot([left, 0], [0, right])]) == typed([left])
-        assert typed(max_plus.add_scaled([left], 0, [right])) == typed([left])
-        assert typed(max_plus.add_scaled([NEG_INF], 0, [right])) == typed([right])
 
 
 # contains_all against the loop over contains, in every instance
