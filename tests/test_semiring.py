@@ -4,7 +4,8 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tropspan import INSTANCES, InversionOfZero, Semifield, max_plus, max_times, min_plus
+from tropspan import (INSTANCES, InversionOfZero, Semifield, TrConditionViolated, max_plus,
+                      max_times, min_plus)
 
 NEG_INF = float("-inf")
 
@@ -109,6 +110,30 @@ def typed(values):
 def test_max_plus_dot_matches_the_generic_loop(vectors):
     r, c = vectors
     assert typed([max_plus.dot(r, c)]) == typed([Semifield.dot(max_plus, r, c)])
+
+
+def star_or_refusal(star, rows):
+    """The typed rows of star(rows), or the typed (k, weight) of its refusal."""
+    try:
+        return [typed(r) for r in star(rows)]
+    except TrConditionViolated as exc:
+        return typed(exc.args)
+
+
+def int_matrices():
+    # small entries tie often and close positive cycles; the wide ones take
+    # every field width of the packed rows, up to 8 bytes
+    entries = st.one_of(st.integers(-4, 4), st.just(NEG_INF),
+                        st.integers(-2 ** 40, 2 ** 40))
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(rows=int_matrices())
+def test_max_plus_star_matches_the_generic_loop(rows):
+    """The packed row update of `max_plus.star` against the loop of `Semifield.star`."""
+    assert (star_or_refusal(max_plus.star, rows)
+            == star_or_refusal(lambda r: Semifield.star(max_plus, r), rows))
 
 
 def test_max_plus_kernels_keep_the_left_operand_of_a_tie():
