@@ -19,6 +19,14 @@ operations on rows packed into one int each.  A 𝟘 at (i, j) of the
 closure marks an unreachable pair: no walk of C's arcs leads from j to
 i, so an n×n C with n ≥ 2 is irreducible exactly when its closure is
 zero-free.
+
+The same pass can carry tail rows below C's, as nodes that no arc
+enters, and return tail ⊗ C* with the closure.  `solve_constrained`
+forms A ⊗ C* so, in place of a product; packed, the tail rows take the
+row update of C's rows at each pivot.  The gate to the packed rows and
+the field width look at the tail too, and no field overflows for the
+reason stated in `semiring`.  `_star` makes the pass for both callers
+and words the refusal.
 """
 
 from __future__ import annotations
@@ -281,9 +289,16 @@ def asterate(a: Matrix) -> Matrix:
     """
     if a.rows != a.cols:
         raise NotSquare("the asterate is defined for square matrices")
+    return Matrix._wrap(a.sf, _star(a))
+
+
+def _star(a: Matrix,
+          tail: tuple[tuple[Scalar, ...], ...] = ()) -> tuple[tuple[Scalar, ...], ...]:
+    """`Semifield.star` of the square `a` and the `tail` rows, whose
+    refusal names the pivot, 1-based, and the weight of its closed walk."""
     sf = a.sf
     try:
-        return Matrix._wrap(sf, sf.star(a.data))
+        return sf.star(a.data, tail)
     except TrConditionViolated as exc:
         k, weight = exc.args
         raise TrConditionViolated(

@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from operator import eq, itemgetter
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
-from .matvec import Matrix, asterate, ones
+from .matvec import Matrix, _star, ones
 from .semiring import Scalar, Semifield
 from .solvers import BoxFamily, _Frozen
 
@@ -177,21 +177,32 @@ def solve_constrained(a: Matrix, b: Matrix, p: Matrix, q: Matrix,
                       c: Matrix) -> ConstrainedReport:
     """Maximize the objective on raw (A, B, p, q) subject to C ⊗ x ≤ x.
 
-    Feasibility requires that C has no cycle heavier than 𝟙, which
-    `asterate` checks; then x = C* ⊗ u sweeps the feasible regular
-    vectors and the problem reduces to the unconstrained one on
-    (A ⊗ C*, B ⊗ C*), solved in u.  `ProblemInstance`'s preconditions
-    apply to these reduced matrices, so A may hold 𝟘 entries that C*
-    fills.  When B is A, A ⊗ C* is formed once.  C* maps u back to x.
+    Feasibility requires that C has no cycle heavier than 𝟙; then
+    x = C* ⊗ u sweeps the feasible regular vectors and the problem
+    reduces to the unconstrained one on (A ⊗ C*, B ⊗ C*), solved in u.
+    One `Semifield.star` pass forms all three: A's rows, and B's unless
+    B is A, ride below C's as nodes that no arc enters, so the pivots
+    that close C leave A ⊗ C* and B ⊗ C* in them.  The pass checks
+    feasibility at each pivot and refuses as `asterate` does.
+    `ProblemInstance`'s preconditions apply to the reduced matrices, so
+    A may hold 𝟘 entries that C* fills.  When B is A, A ⊗ C* is formed
+    once and is also the reduced B.  C* maps u back to x.
     """
     if c.rows != c.cols:
         raise NotSquare("the constraint matrix must be square")
     if c.cols != a.cols:
         raise ShapeMismatch(
             f"the constraint matrix must be {a.cols}x{a.cols} to match the instance")
-    closure = asterate(c)
-    ac = a @ closure
-    bc = ac if b is a else b @ closure
+    a._same_semifield(c)
+    b._same_semifield(c)
+    if b.cols != c.cols:
+        raise ShapeMismatch(
+            f"cannot multiply a {b.rows}x{b.cols} matrix by a {c.rows}x{c.cols} matrix")
+    sf, n, m = c.sf, c.rows, a.rows
+    rows = _star(c, a.data if b is a else a.data + b.data)
+    closure = Matrix._wrap(sf, rows[:n])
+    ac = Matrix._wrap(sf, rows[n:n + m])
+    bc = ac if b is a else Matrix._wrap(sf, rows[n + m:])
     require_zero_free(ac, "product of matrix A and the constraint closure")
     return ConstrainedReport(solve_unconstrained(ProblemInstance(ac, bc, p, q)), closure)
 

@@ -28,13 +28,15 @@ operations, the inner loops of matrix products, closures and checks:
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
     product(rows, cols)   the rows of the matrix of every dot(r, c)
     contains_all(v)       whether every vⱼ is a carrier element
-    star(rows)            the rows of the star closure of a square matrix
+    star(rows, tail)      the rows of the star closure C* of a square
+                          matrix C, then those of tail ⊗ C*
 
 Their generic default is a plain loop over `add`, `mul`, `dot` or
 `contains`; `star` is one Floyd–Warshall pass of row updates
 c_ij ⊕ c_ik ⊗ c_kj, a loop over `add` and `mul`, which raises
 `TrConditionViolated` with the arguments (k, weight) at the first
-pivot k whose closed walk outweighs 𝟙.  `max_plus` overrides all four,
+pivot k whose closed walk outweighs 𝟙, followed by the `product` of
+the tail rows and the closure's columns.  `max_plus` overrides all four,
 which gives the same values.  Two run on builtins: `dot` is `max` over
 `operator.add`, for any number type, and `contains_all` the range
 check on a list of ints; anything else takes the generic loop.  Its
@@ -53,21 +55,28 @@ Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
 byte processing with full-word instructions, CACM 18(8), 1975), so a
 row update is a dozen int operations on whole rows in place of a loop
-over entries.  Field j holds c_ij + b with b = 2n·max|entry| + 1, or 0
-for 𝟘, and w is the narrowest of 8, 16, 32 and 64 bits that holds 2b
-below a guard bit.  The sum c_ik + c_kj is a carry-free add of row k
-to copies of c_ik; the guard bits of a subtraction mark the fields
-where c_ij stays, and a mask selects them.  The pivot order is that of
-the generic loop, so values, refusals and pivots are the same.  No
+over entries.  With M = max|entry| over C and the tail, field j holds
+c_ij + b with b = 2n·M + 1, or 0 for 𝟘, and w is the narrowest of 8,
+16, 32 and 64 bits that holds 2b below a guard bit.  The sum
+c_ik + c_kj is a carry-free add of row k to copies of c_ik; the guard
+bits of a subtraction mark the fields where c_ij stays, and a mask
+selects them.  The tail rows are packed below C's and take the same
+update at every pivot, with the same masks of row k: they are nodes
+that no arc enters, so no pivot is one of them, and the pass leaves in
+tail row t the heaviest walk from each node of C into t, which is
+tail ⊗ C* (Butkovič, Max-linear Systems, 2010, §1.6).  The diagonal
+check and the I ⊕ step concern C's rows only.  The pivot order is that
+of the generic loop, so values, refusals and pivots are the same.  No
 field overflows: before pivot k every cycle on the nodes below k
-weighs at most 𝟙, so an entry is the weight of a simple path (at most
-(n-1)·max|entry| in size) or cycle (n·max|entry|), and every sum
-formed is at most 2n·max|entry|, the bound the CLI enforces.  A float
-anywhere takes the generic loop, which keeps the left operand of an
+weighs at most 𝟙, so an entry of C's rows is the weight of a simple
+path (at most (n-1)·M in size) or cycle (n·M), and an entry of a tail
+row that of one tail arc after a simple path (n·M); every sum formed is
+at most 2n·M < b in size.  The CLI enforces 2n·M within the float
+range, with M over both of its matrices.  A float anywhere in C or the
+tail takes the generic loop, which keeps the left operand of an
 int/float tie, and so do ints too large for 64-bit fields
-(4n·max|entry| + 2 ≥ 2**63), where whole-row operations cost more than
-the loop: about 10 times as much at n = 160 with ints near the CLI's
-bound.
+(4n·M + 2 ≥ 2**63), where whole-row operations cost more than the
+loop: about 10 times as much at n = 160 with ints near the CLI's bound.
 
 Max-plus and min-plus are exact on ints: max, min and + of ints are
 ints.  A float sum rounds where it needs more than 53 bits, and
@@ -169,13 +178,18 @@ class Semifield:
         """True when every entry of `values` is a carrier element."""
         return all(map(self.contains, values))
 
-    def star(self, rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
-        """The rows of the star closure I ⊕ A ⊕ ... ⊕ Aⁿ⁻¹ of the n×n matrix A.
+    def star(self, rows: Sequence[Sequence[Scalar]],
+             tail: Sequence[Sequence[Scalar]] = ()) -> tuple[tuple[Scalar, ...], ...]:
+        """The rows of the star closure I ⊕ A ⊕ ... ⊕ Aⁿ⁻¹ of the n×n matrix A,
+        followed by the rows of tail ⊗ A*.
 
         One Floyd–Warshall pass of row updates c_ij ⊕ c_ik ⊗ c_kj over
-        `add` and `mul`.  Raises `TrConditionViolated` with the arguments
-        (k, weight) at the first pivot k whose closed walk weighs more
-        than 𝟙.
+        `add` and `mul`, then `product` of the n-column `tail` rows and
+        the closure's columns.  Raises `TrConditionViolated` with the
+        arguments (k, weight) at the first pivot k whose closed walk
+        weighs more than 𝟙.  An override may instead carry the tail rows
+        through the pivots, as nodes that no arc enters: the pass leaves
+        tail ⊗ A* in them.
         """
         add, mul, zero, one = self.add, self.mul, self.zero, self.one
         c = [list(r) for r in rows]
@@ -190,7 +204,8 @@ class Semifield:
                     c[i] = [add(a, mul(cik, b)) for a, b in zip(ci, ck)]
         for i, ci in enumerate(c):
             ci[i] = add(one, ci[i])
-        return tuple(map(tuple, c))
+        closure = tuple(map(tuple, c))
+        return closure + self.product(tail, tuple(zip(*closure))) if tail else closure
 
     def __repr__(self) -> str:
         return f"<{self.name} semifield>"
@@ -257,19 +272,20 @@ class _MaxPlus(Semifield):
             return -sys.float_info.max <= min(values) and max(values) <= sys.float_info.max
         return super().contains_all(values)
 
-    def star(self, rows):
-        # packed rows: the module docstring states the encoding, its gates
-        # and why no field overflows
+    def star(self, rows, tail=()):
+        # packed rows, the tail rows after C's: the module docstring states
+        # the encoding, its gates and why no field overflows
         zero = self.zero
-        finite = [v for r in rows for v in r if v != zero]
-        if not set(map(type, finite)) <= {int}:
-            return super().star(rows)
         n = len(rows)
+        every = [*rows, *tail]
+        finite = [v for r in every for v in r if v != zero]
+        if not set(map(type, finite)) <= {int}:
+            return super().star(rows, tail)
         b = 2 * n * max(map(abs, finite), default=0) + 1
         # the narrowest field that holds 2b with a guard bit above it
         size = next((s for s in _FIELD_CODES if 8 * s > (2 * b).bit_length()), None)
         if size is None:
-            return super().star(rows)
+            return super().star(rows, tail)
         code, order = _FIELD_CODES[size], sys.byteorder
 
         def pack(fields):
@@ -281,8 +297,9 @@ class _MaxPlus(Semifield):
         ones = pack([1] * n)
         guards = ones << g
         biases = b * ones
-        c = [pack([v + b if v != zero else 0 for v in r]) for r in rows]
-        for k, ck in enumerate(c):
+        c = [pack([v + b if v != zero else 0 for v in r]) for r in every]
+        for k in range(n):
+            ck = c[k]
             at = w * k
             ckk = ck >> at & field
             if ckk > b:
@@ -297,13 +314,14 @@ class _MaxPlus(Semifield):
                     t = (base + cik * ones) & real           # the fields c_ik ⊗ c_kj
                     keep = ((ci | guards) - t) & guards      # guard bits where c_ij ≥ t_j
                     c[i] = t ^ ((t ^ ci) & (keep - (keep >> g)))
-        closure = []
+        out = []
         for i, ci in enumerate(c):
             fields = memoryview(ci.to_bytes(size * n, order)).cast(code)
             row = [f - b if f else zero for f in fields]
-            row[i] = self.one   # I ⊕: no cycle is heavier than 𝟙 once every pivot passed
-            closure.append(tuple(row))
-        return tuple(closure)
+            if i < n:
+                row[i] = self.one   # I ⊕: no cycle is heavier than 𝟙 once every pivot passed
+            out.append(tuple(row))
+        return tuple(out)
 
 
 class _MinPlus(Semifield):

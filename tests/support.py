@@ -118,6 +118,21 @@ def random_feasible_constraint(rng: random.Random, max_n=4):
     return mp(rows)
 
 
+def potential_start_start(rng: random.Random, n, density, scale=10):
+    """Entries p_i - p_j - slack on a Hamiltonian cycle plus arcs at `density`,
+    so x = p solves C ⊗ x ≤ x; potentials p in 0 .. scale·n.  Returns the
+    rows, None for 𝟘, and p."""
+    pot = [rng.randint(0, scale * n) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    arcs = {(order[k], order[(k + 1) % n]) for k in range(n)}
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in arcs or (i != j and rng.random() < density):
+                rows[i][j] = pot[i] - pot[j] - rng.randint(0, 3)
+    return rows, pot
+
+
 def random_infeasible_constraint(rng: random.Random, max_n=4):
     """As above but with one positive self-loop, forcing Tr > 0."""
     base = random_feasible_constraint(rng, max_n)

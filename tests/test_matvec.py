@@ -13,8 +13,9 @@ from support import (COMBINED, COMBINED_CONJ, COMBINED_TIMES_CONJ, NEG_INF,
                      SF_TIMES_CONJ, SS_SQUARED, SS_STAR, START_FINISH,
                      START_FINISH_CONJ, START_START, col, counted_line,
                      counted_products, generic_max_plus, is_irreducible, mp,
-                     power_series_asterate, rng_feasible_constraint, rng_finite,
-                     rng_irreducible, sub_unit, tr_closure)
+                     potential_start_start, power_series_asterate,
+                     rng_feasible_constraint, rng_finite, rng_irreducible, sub_unit,
+                     tr_closure)
 
 
 def vectors(dim):
@@ -401,26 +402,12 @@ def test_kernels_match_the_generic_loops(n):
                                               @ Matrix(generic_max_plus, b)), name
 
 
-def _start_start(rng, n, density, scale=10):
-    """Entries p_i - p_j - slack on a Hamiltonian cycle plus arcs at `density`,
-    so x = p solves C ⊗ x ≤ x; potentials p in 0 .. scale·n."""
-    pot = [rng.randint(0, scale * n) for _ in range(n)]
-    order = rng.sample(range(n), n)
-    arcs = {(order[k], order[(k + 1) % n]) for k in range(n)}
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in arcs or (i != j and rng.random() < density):
-                rows[i][j] = pot[i] - pot[j] - rng.randint(0, 3)
-    return rows, pot
-
-
 def _int_star_cases(rng, n):
     """Integer max-plus matrices of size n at a random density: feasible,
     with a planted positive cycle, reducible, with 𝟘 rows, with entries as
     large as the widest packed field takes, and with entries near the
     CLI's bound float max / 2n."""
-    rows, pot = _start_start(rng, n, rng.random())
+    rows, pot = potential_start_start(rng, n, rng.random())
     yield "feasible", rows
     heavy = [list(r) for r in rows]
     i, j = rng.randrange(n), rng.randrange(n)
@@ -435,9 +422,9 @@ def _int_star_cases(rng, n):
     yield "zero rows", [[None] * n if rng.random() < 0.3 else r for r in rows]
     # |entry| < 2**61 / n, so 4n·max|entry| + 2 fits 63 bits below the guard
     widest = (2 ** 61 // n - 4) // n
-    yield "widest fields", _start_start(rng, n, rng.random(), scale=widest)[0]
+    yield "widest fields", potential_start_start(rng, n, rng.random(), scale=widest)[0]
     top = int(sys.float_info.max) // (2 * n)
-    yield "near the bound", _start_start(rng, n, rng.random(), scale=top // (2 * n))[0]
+    yield "near the bound", potential_start_start(rng, n, rng.random(), scale=top // (2 * n))[0]
 
 
 # whether `max_plus.star` packs the rows, where that depends on the entries' size
@@ -483,10 +470,11 @@ def test_star_of_ints_and_floats_takes_the_generic_loop():
 
 
 def test_products_of_constrained_operands_match_the_generic_loop():
-    """The products of `combined --latest` at n 12–28: A ⊗ C*, C* ⊗ X and
-    A ⊗ (C* ⊗ X).  In two of them most columns tie at their maximum, but
-    the rows' and the columns' argmaxes seldom meet, so each entry is one
-    `dot`."""
+    """The products of `combined --latest` at n 12–28: C* ⊗ X and
+    A ⊗ (C* ⊗ X), with a column of X per distinct schedule; each entry is
+    one `dot`.  A ⊗ C* is not a product: the closure pass forms it, and
+    the differential tests of `max_plus.star` with tail rows and of
+    `solve_constrained` check it."""
     rng = random.Random(27)
     products = []
     product = max_plus.product
@@ -498,14 +486,14 @@ def test_products_of_constrained_operands_match_the_generic_loop():
     for n in (12, 17, 23, 28):
         for density in (rng.uniform(0.1, 0.5), 1.0):
             a = mp([[rng.randint(0, 9) for _ in range(n)] for _ in range(n)])
-            c = mp(_start_start(rng, n, density)[0])
+            c = mp(potential_start_start(rng, n, density)[0])
             max_plus.product = spy
             try:
                 report = max_completion_spread_constrained(a, c)
                 latest_schedule(report.report, report.closure, a)
             finally:
                 del max_plus.product
-    assert len(products) == 24
+    assert len(products) == 16
     for rows, cols in products:
         shape = (len(rows), len(cols[0]), len(cols))
         assert (_typed(Matrix._wrap(max_plus, max_plus.product(rows, cols)))

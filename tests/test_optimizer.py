@@ -4,12 +4,14 @@ from itertools import product
 import pytest
 
 from tropspan import (InvariantViolation, Matrix, NotRegular, NotSquare,
-                      ProblemInstance, ShapeMismatch, evaluate_objective,
-                      max_completion_spread_constrained, max_plus, ones,
-                      solve_constrained, solve_norm_form, solve_unconstrained)
+                      ProblemInstance, ShapeMismatch, TrConditionViolated, asterate,
+                      evaluate_objective, max_completion_spread_constrained, max_plus,
+                      ones, optimizer, solve_constrained, solve_norm_form,
+                      solve_unconstrained)
+from tropspan.optimizer import require_zero_free
 from oracles import GridSpec, brute_force_max, solve_scalar_equation
-from support import (COMBINED, SS_STAR, START_FINISH, START_START, col,
-                     counted_products, mp,
+from support import (COMBINED, NEG_INF, SS_STAR, START_FINISH, START_START, col,
+                     counted_line, counted_products, mp, potential_start_start,
                      random_feasible_constraint, random_instance,
                      random_regular_column, random_row_regular, raw_objective,
                      raw_span)
@@ -307,26 +309,119 @@ def test_constrained_shape_errors():
 
 
 def test_constrained_forms_a_times_the_closure_once(monkeypatch):
+    """One closure pass carries A's rows, and B's when B is not A, as its
+    tail; no `@` is left to form A ⊗ C* or B ⊗ C*."""
     a = mp(START_FINISH)
     c = mp(START_START)
     unit = ones(max_plus, 3)
-    calls = []
-    matmul = Matrix.__matmul__
+    passes, products = [], []
+    star, matmul = max_plus.star, Matrix.__matmul__
 
-    def counted(self, other):
-        calls.append(1)
+    def counted_star(rows, tail=()):
+        passes.append(len(tail))
+        return star(rows, tail)
+
+    def counted_matmul(self, other):
+        products.append(1)
         return matmul(self, other)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    monkeypatch.setattr(max_plus, "star", counted_star)
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     max_completion_spread_constrained(a, c)
-    assert len(calls) == 1
-    calls.clear()
     solve_constrained(a, a, unit, unit, c)
-    assert len(calls) == 1
-    calls.clear()
-    # an equal but distinct B is multiplied on its own
+    # an equal but distinct B rides in the tail on its own
     solve_constrained(a, mp(START_FINISH), unit, unit, c)
-    assert len(calls) == 2
+    assert passes == [3, 3, 6]
+    assert products == []
+
+
+def _typed_rows(m):
+    return list(map(_typed, m.data))
+
+
+def _fused_cases(rng, n):
+    """(name, A, B, C) at size n.  C is potential-based, sparse or dense:
+    feasible, with a planted positive cycle, or reducible (no arc from the
+    last nodes back to the first m).  A is zero-free or holds 𝟘 entries,
+    within ±9 or ±2**40; B is A or a distinct matrix.  At n = 160, for
+    time, only the sparse C."""
+    for density in [rng.uniform(0.1, 0.5)] + ([1.0] if n < 160 else []):
+        rows, pot = potential_start_start(rng, n, density)
+        heavy = [list(r) for r in rows]
+        i, j = rng.randrange(n), rng.randrange(n)
+        heavy[i][j], heavy[j][i] = pot[i] - pot[j] + 1, pot[j] - pot[i]
+        if i == j:
+            heavy[i][i] = 1
+        m = rng.randint(0, n)
+        reducible = [[None if i < m <= j else v for j, v in enumerate(r)]
+                     for i, r in enumerate(rows)]
+        for name, c in (("feasible", rows), ("positive cycle", heavy),
+                        ("reducible", reducible)):
+            hi = rng.choice((9, 2 ** 40))
+            a = random_row_regular(rng, rng.randint(1, n), n, -hi, hi,
+                                   zero_prob=rng.choice((0.0, 0.5)))
+            b = a if rng.random() < 0.5 else random_row_regular(rng, rng.randint(1, n), n, 0, 9)
+            yield f"{name} at density {density:.2f}", a, b, mp(c)
+
+
+def _mixed(rng, a):
+    """A with each entry kept, made an equal float or moved by -0.25."""
+    return mp([[rng.choice((v, float(v), v - 0.25)) for v in r] for r in a.data])
+
+
+def _constrained_or_refusal(a, b, p, q, c, monkeypatch):
+    """The closure and the reduced (A, B) that `solve_constrained` hands to
+    `solve_unconstrained`, typed, or the type and text of its refusal."""
+    reduced = []
+
+    def spy(inst):
+        reduced.append(inst)
+        return solve_unconstrained(inst)
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "solve_unconstrained", spy)
+            closure = solve_constrained(a, b, p, q, c).closure
+    except (TrConditionViolated, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    [inst] = reduced
+    assert (inst.B is inst.A) is (b is a)
+    return _typed_rows(closure), _typed_rows(inst.A), _typed_rows(inst.B)
+
+
+def _reference_or_refusal(a, b, p, q, c):
+    """The same from `asterate(c)`, `a @ closure` and `b @ closure`."""
+    try:
+        closure = asterate(c)
+        ac, bc = a @ closure, b @ closure
+        require_zero_free(ac, "product of matrix A and the constraint closure")
+        ProblemInstance(ac, bc, p, q)
+    except (TrConditionViolated, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return _typed_rows(closure), _typed_rows(ac), _typed_rows(bc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 28, 64, 160])
+def test_constrained_matches_the_closure_and_its_products(n, monkeypatch):
+    """One fused closure pass gives the C* and the reduced (A ⊗ C*, B ⊗ C*)
+    of `asterate(c)` and `@`, by value and type, and refuses with the same
+    pivot and message.  Float and mixed A take the generic loop."""
+    rng = random.Random(900 + n)
+    for name, a, b, c in _fused_cases(rng, n):
+        p = random_regular_column(rng, a.rows)
+        q = p if b is a else random_regular_column(rng, b.rows)
+        variants = [a]
+        if n <= 28:
+            variants += [_mixed(rng, a), mp([[float(v) for v in r] for r in a.data])]
+        for a_ in variants:
+            b_ = a_ if b is a else b
+            expected = _reference_or_refusal(a_, b_, p, q, c)
+            if not any(type(v) is float and v != NEG_INF for v in a_.entries()):
+                assert _constrained_or_refusal(a_, b_, p, q, c, monkeypatch) == expected, name
+                continue
+            with counted_line(type(max_plus).star, "c[i] = t ^") as updates:
+                assert _constrained_or_refusal(a_, b_, p, q, c, monkeypatch) == expected, name
+            assert updates["runs"] == 0, name
 
 
 def _constrained_inputs(rng, max_n, lo, hi, extra=5):

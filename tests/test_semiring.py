@@ -120,13 +120,17 @@ def star_or_refusal(star, rows):
         return typed(exc.args)
 
 
-def int_matrices():
+def int_rows(n, min_size, max_size):
     # small entries tie often and close positive cycles; the wide ones take
     # every field width of the packed rows, up to 8 bytes
     entries = st.one_of(st.integers(-4, 4), st.just(NEG_INF),
                         st.integers(-2 ** 40, 2 ** 40))
-    return st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=min_size, max_size=max_size)
+
+
+def int_matrices():
+    return st.integers(1, 6).flatmap(lambda n: int_rows(n, n, n))
 
 
 @given(rows=int_matrices())
@@ -134,6 +138,27 @@ def test_max_plus_star_matches_the_generic_loop(rows):
     """The packed row update of `max_plus.star` against the loop of `Semifield.star`."""
     assert (star_or_refusal(max_plus.star, rows)
             == star_or_refusal(lambda r: Semifield.star(max_plus, r), rows))
+
+
+def closure_then_product(rows, tail):
+    """The generic loop's closure, then tail ⊗ closure by `Semifield.product`."""
+    closure = Semifield.star(max_plus, rows)
+    return closure + Semifield.product(max_plus, tail, tuple(zip(*closure)))
+
+
+@given(case=st.integers(1, 6).flatmap(
+    lambda n: st.tuples(int_rows(n, n, n), int_rows(n, 0, 4))))
+# a float in the tail sends the whole pass to the generic loop, where the
+# int/float tie keeps the earlier term: 2.0**60 + 0 over (2**60 - 3) + 3
+@example(case=([[0, NEG_INF], [3, 0]], [[2.0 ** 60, 2 ** 60 - 3], [NEG_INF, 1]]))
+def test_max_plus_star_with_a_tail_matches_the_loop_and_product(case):
+    """`max_plus.star(rows, tail)`, whose tail rows ride through the packed
+    pivots, and the generic `Semifield.star(rows, tail)`, against the
+    generic closure followed by `Semifield.product`."""
+    rows, tail = case
+    expected = star_or_refusal(lambda r: closure_then_product(r, tail), rows)
+    assert star_or_refusal(lambda r: max_plus.star(r, tail), rows) == expected
+    assert star_or_refusal(lambda r: Semifield.star(max_plus, r, tail), rows) == expected
 
 
 def test_max_plus_kernels_keep_the_left_operand_of_a_tie():
