@@ -126,43 +126,52 @@ def _require_in_range(n: int, largest, alpha, path: str) -> None:
 
 def _parse_matrix(raw: dict, key: str, n: int, path: str,
                   allow_null: bool) -> tuple[Matrix | None, int | float]:
-    """The matrix under `key` and its largest |entry|, in one pass that
-    checks each entry by `_admits` and maps null to 𝟘.
+    """The matrix under `key` and its largest |entry|, once every entry
+    passes `_admits`, with null mapped to 𝟘 where admitted.
 
-    A row's numbers are checked by one `contains_all` and one test for
-    𝟘, and its nulls, where admitted, mapped in one pass; a row that
-    fails holds a refused entry, and the first one in the row gives the
-    message."""
+    The checks run on the whole matrix: one shape test over the rows,
+    then, on its entries flattened in row-major order, one `contains_all`
+    over the numbers, one test for 𝟘 and one `max` of |entry|.  Only
+    when a check fails are the rows walked in order, and the first
+    faulty row gives the message: its shape, or else its first refused
+    entry."""
     rows = raw.get(key)
     if rows is None:
         return None, 0
     if not isinstance(rows, list) or len(rows) != n:
         raise _ParseFailure(f"{path}: '{key}' must be a list of {n} rows")
-    largest = 0
     zero = max_plus.zero
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise _ParseFailure(f"{path}: row {i + 1} of '{key}' must hold {n} entries")
+    if all(map(isinstance, rows, repeat(list))) and set(map(len, rows)) == {n}:
+        flat = list(chain.from_iterable(rows))
         # admitted nulls (every start_start row has one: a project has no
         # self-lags) stay out of the check; any other null fails contains_all
-        values = [v for v in row if v is not None] if allow_null and None in row else row
-        if not max_plus.contains_all(values) or zero in values:
-            j, v = next((j, v) for j, v in enumerate(row)
-                        if not (_admits(v) or allow_null and v is None))
-            if v is None:
-                raise _ParseFailure(
+        values = [v for v in flat if v is not None] if allow_null and None in flat else flat
+        if max_plus.contains_all(values) and zero not in values:
+            if values is not flat:
+                rows = [[zero if v is None else v for v in row] if None in row else row
+                        for row in rows]
+            # admitted entries and 𝟘 pass every check of the constructor; max
+            # keeps the first of equal |entries|, and 0 where all are 0
+            return (Matrix._wrap(max_plus, tuple(map(tuple, rows))),
+                    max(0, max(map(abs, values), default=0)))
+    raise _first_fault(rows, key, n, path, allow_null)
+
+
+def _first_fault(rows: list, key: str, n: int, path: str, allow_null: bool) -> _ParseFailure:
+    """The refusal of the first faulty row of a matrix that failed a check
+    of `_parse_matrix`: a row of the wrong shape, or a refused entry."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            return _ParseFailure(f"{path}: row {i + 1} of '{key}' must hold {n} entries")
+        for j, v in enumerate(row):
+            if v is None and not allow_null:
+                return _ParseFailure(
                     f"{path}: '{key}' does not admit null (row {i + 1}, column {j + 1})")
-            raise _ParseFailure(
-                f"{path}: entry at row {i + 1}, column {j + 1} of '{key}' must be "
-                f"a finite number{' or null' if allow_null else ''}")
-        if values is not row:
-            rows[i] = [zero if v is None else v for v in row]
-        # max keeps the first of equal |entries|: the first in row-major order
-        top = max(map(abs, values), default=0)
-        if top > largest:
-            largest = top
-    # admitted entries and 𝟘 pass every check of the constructor
-    return Matrix._wrap(max_plus, tuple(map(tuple, rows))), largest
+            if not (_admits(v) or v is None):
+                return _ParseFailure(
+                    f"{path}: entry at row {i + 1}, column {j + 1} of '{key}' must be "
+                    f"a finite number{' or null' if allow_null else ''}")
+    raise AssertionError(f"no entry of '{key}' is refused")
 
 
 def _dispatch(command: str, start_finish: Matrix | None, start_start: Matrix | None):

@@ -20,13 +20,14 @@ closure marks an unreachable pair: no walk of C's arcs leads from j to
 i, so an n×n C with n ≥ 2 is irreducible exactly when its closure is
 zero-free.
 
-The same pass can carry tail rows below C's, as nodes that no arc
-enters, and return tail ⊗ C* with the closure.  `solve_constrained`
-forms A ⊗ C* so, in place of a product; packed, the tail rows take the
-row update of C's rows at each pivot.  The gate to the packed rows and
-the field width look at the tail too, and no field overflows for the
-reason stated in `semiring`.  `_star` makes the pass for both callers
-and words the refusal.
+The same call takes tail rows and returns tail ⊗ C* with the closure,
+formed once the pivots have closed C, so a refusal costs no tail work.
+`solve_constrained` forms A ⊗ C* so, in place of a product.  Packed,
+each tail row accumulates t_k ⊗ (row k of C*) in the fields of the
+closure's rows; a tail with a float, or with ints too wide for 64-bit
+fields, takes `Semifield.product` while C's pivots stay packed.
+`semiring` states the gates and why no field overflows.  `_star` makes
+the call for both callers and words the refusal.
 """
 
 from __future__ import annotations

@@ -180,10 +180,10 @@ def solve_constrained(a: Matrix, b: Matrix, p: Matrix, q: Matrix,
     Feasibility requires that C has no cycle heavier than 𝟙; then
     x = C* ⊗ u sweeps the feasible regular vectors and the problem
     reduces to the unconstrained one on (A ⊗ C*, B ⊗ C*), solved in u.
-    One `Semifield.star` pass forms all three: A's rows, and B's unless
-    B is A, ride below C's as nodes that no arc enters, so the pivots
-    that close C leave A ⊗ C* and B ⊗ C* in them.  The pass checks
-    feasibility at each pivot and refuses as `asterate` does.
+    One `Semifield.star` call forms all three: A's rows, and B's unless
+    B is A, are its tail rows, multiplied by C* once the pivots have
+    closed C.  The pivots check feasibility and refuse as `asterate`
+    does, before any work on the tail.
     `ProblemInstance`'s preconditions apply to the reduced matrices, so
     A may hold 𝟘 entries that C* fills.  When B is A, A ⊗ C* is formed
     once and is also the reduced B.  C* maps u back to x.

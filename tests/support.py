@@ -8,7 +8,8 @@ generic vector loops with a ⊗ counter for `max_plus` and a line counter
 for code that makes no countable call, raw max/+
 evaluators that give the tests an arithmetic path independent of the
 package's semifield operations, the inverse of the CLI's file parser,
-and a runner for subprocesses that import the package from src/.
+the parser's former row-by-row matrix check, and a runner for
+subprocesses that import the package from src/.
 """
 
 import contextlib
@@ -391,6 +392,41 @@ def dump_project(start_finish: Matrix | None, start_start: Matrix | None) -> dic
         doc["start_start"] = [[None if v == max_plus.zero else plain(v) for v in row]
                               for row in start_start.data]
     return doc
+
+
+def parse_matrix_by_rows(raw: dict, key: str, n: int, path: str,
+                         allow_null: bool) -> tuple[Matrix | None, int | float]:
+    """`cli._parse_matrix` as it checked a matrix row by row: a reference
+    for its whole-matrix checks, by return value and refusal text.  Maps
+    null to 𝟘 in the rows of `raw` itself."""
+    from tropspan.cli import _admits, _ParseFailure
+
+    rows = raw.get(key)
+    if rows is None:
+        return None, 0
+    if not isinstance(rows, list) or len(rows) != n:
+        raise _ParseFailure(f"{path}: '{key}' must be a list of {n} rows")
+    largest = 0
+    zero = max_plus.zero
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise _ParseFailure(f"{path}: row {i + 1} of '{key}' must hold {n} entries")
+        values = [v for v in row if v is not None] if allow_null and None in row else row
+        if not max_plus.contains_all(values) or zero in values:
+            j, v = next((j, v) for j, v in enumerate(row)
+                        if not (_admits(v) or allow_null and v is None))
+            if v is None:
+                raise _ParseFailure(
+                    f"{path}: '{key}' does not admit null (row {i + 1}, column {j + 1})")
+            raise _ParseFailure(
+                f"{path}: entry at row {i + 1}, column {j + 1} of '{key}' must be "
+                f"a finite number{' or null' if allow_null else ''}")
+        if values is not row:
+            rows[i] = [zero if v is None else v for v in row]
+        top = max(map(abs, values), default=0)
+        if top > largest:
+            largest = top
+    return Matrix._wrap(max_plus, tuple(map(tuple, rows))), largest
 
 
 def run_python(*args, text=True, timeout=None):

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import sys
@@ -11,7 +12,8 @@ from tropspan import (BoxFamily, InvariantViolation, InversionOfZero, Matrix, No
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
                           _render, _render_status, main)
 from oracles import document, status_document, text
-from support import dump_project, random_feasible_constraint, run_python
+from support import (dump_project, parse_matrix_by_rows, random_feasible_constraint,
+                     run_python)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -389,6 +391,84 @@ def test_row_check_matches_the_per_entry_parse():
             matrix, largest = _parse_matrix(raw, key, n, "p.json", allow_null)
             assert typed(matrix.data) == typed(want_data)
             assert (largest, type(largest)) == (want, type(want))
+
+
+def _parse_or_refusal(parse, raw, key, n, allow_null):
+    """The typed matrix and largest |entry| that `parse` returns for a copy
+    of `raw`, or the text of its refusal."""
+    from tropspan.cli import _ParseFailure
+    try:
+        matrix, largest = parse(copy.deepcopy(raw), key, n, "p.json", allow_null)
+    except _ParseFailure as exc:
+        return str(exc)
+    data = None if matrix is None else [[(v, type(v)) for v in row] for row in matrix.data]
+    return data, (largest, type(largest))
+
+
+# entries json can hold: admitted ones, ties of an int and a float, and each
+# kind the parse refuses
+_ODD_ENTRIES = (0, 2, -3, 2.5, 0.0, -0.0, 2 ** 60, 2.0 ** 60, None, True, False, "1", [0], [[]],
+                {}, 10 ** 400, -10 ** 400, int(sys.float_info.max) + 1, 1e308,
+                float("inf"), float("-inf"), float("nan"))
+
+
+def _odd_rows(rng, n):
+    """n rows, mostly admitted entries; now and then a refused entry, a
+    short or long row, or a row that is not a list."""
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.05:
+            rows.append(rng.choice((None, 0, "row", {})))
+            continue
+        length = n if rng.random() < 0.9 else rng.choice((n - 1, n + 1))
+        rows.append([rng.choice(_ODD_ENTRIES) if rng.random() < 0.08
+                     else rng.choice((None, 1, -2, 0.5, 7)) for _ in range(length)])
+    return rows
+
+
+@pytest.mark.parametrize("raw,key,n", [
+    ({"m": [[1, True], [2, 3]]}, "m", 2),
+    ({"m": [[1, 2], ["3", 4]]}, "m", 2),
+    ({"m": [[1, [2]], [3, 4]]}, "m", 2),
+    ({"m": [[1, 2], [3, None]]}, "m", 2),
+    ({"m": [[-0.0, 2], [3, 0.0]]}, "m", 2),
+    ({"m": [[-0.0, 0], [0.0, -0.0]]}, "m", 2),
+    ({"m": [[1, 10 ** 400], [3, 4]]}, "m", 2),
+    ({"m": [[1, -10 ** 400], [3, 4]]}, "m", 2),
+    # a refused entry before a short row, and a short row before one
+    ({"m": [[1, "x", 2], [3, 4], [5, 6, 7]]}, "m", 3),
+    ({"m": [[1, 2, 3], [4, 5], [6, None, True]]}, "m", 3),
+    ({"m": [[None]]}, "m", 1),
+    ({"m": [[2 ** 60, 2.0 ** 60], [-2.0 ** 60, None]]}, "m", 2),
+    ({"m": [[1, 2], 3]}, "m", 2),
+    ({"m": [[1, 2]]}, "m", 2),
+    ({"m": "rows"}, "m", 1),
+    ({}, "m", 2),
+], ids=["bool", "string", "nested-list", "null", "minus-zero", "all-zero", "beyond-float",
+        "below-float", "entry-then-short-row", "short-row-then-entry", "null-at-n-1",
+        "int-float-tie", "row-not-list", "row-count", "not-a-list", "absent"])
+def test_whole_matrix_check_matches_the_row_by_row_parse(raw, key, n):
+    """The whole-matrix checks of `_parse_matrix` against the former
+    row-by-row check: the same matrix and largest |entry|, by value and
+    type, or the same refusal text, with and without admitted nulls."""
+    from tropspan.cli import _parse_matrix
+    for allow_null in (False, True):
+        assert (_parse_or_refusal(_parse_matrix, raw, key, n, allow_null)
+                == _parse_or_refusal(parse_matrix_by_rows, raw, key, n, allow_null))
+
+
+def test_whole_matrix_check_matches_the_row_by_row_parse_on_random_files():
+    from tropspan.cli import _parse_matrix
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        raw = {"m": _odd_rows(rng, n)}
+        for allow_null in (False, True):
+            got = _parse_or_refusal(_parse_matrix, raw, "m", n, allow_null)
+            assert got == _parse_or_refusal(parse_matrix_by_rows, raw, "m", n, allow_null), raw
+            refused += isinstance(got, str)
+    assert 300 < refused < 1100   # both outcomes are common
 
 
 @pytest.mark.parametrize("rows,message", [

@@ -309,7 +309,7 @@ def test_constrained_shape_errors():
 
 
 def test_constrained_forms_a_times_the_closure_once(monkeypatch):
-    """One closure pass carries A's rows, and B's when B is not A, as its
+    """One closure call takes A's rows, and B's when B is not A, as its
     tail; no `@` is left to form A ⊗ C* or B ⊗ C*."""
     a = mp(START_FINISH)
     c = mp(START_START)
@@ -403,9 +403,10 @@ def _reference_or_refusal(a, b, p, q, c):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 28, 64, 160])
 def test_constrained_matches_the_closure_and_its_products(n, monkeypatch):
-    """One fused closure pass gives the C* and the reduced (A ⊗ C*, B ⊗ C*)
+    """One closure pass gives the C* and the reduced (A ⊗ C*, B ⊗ C*)
     of `asterate(c)` and `@`, by value and type, and refuses with the same
-    pivot and message.  Float and mixed A take the generic loop."""
+    pivot and message.  With float or mixed A, C's pivots still pack, and
+    only the tail rows take `product`."""
     rng = random.Random(900 + n)
     for name, a, b, c in _fused_cases(rng, n):
         p = random_regular_column(rng, a.rows)
@@ -419,9 +420,14 @@ def test_constrained_matches_the_closure_and_its_products(n, monkeypatch):
             if not any(type(v) is float and v != NEG_INF for v in a_.entries()):
                 assert _constrained_or_refusal(a_, b_, p, q, c, monkeypatch) == expected, name
                 continue
-            with counted_line(type(max_plus).star, "c[i] = t ^") as updates:
+            # one tracer at a time: a run counts the packed pivots, a second
+            # one the packed tail accumulate
+            with counted_line(type(max_plus).star, "ckk = ck >>") as pivots:
                 assert _constrained_or_refusal(a_, b_, p, q, c, monkeypatch) == expected, name
-            assert updates["runs"] == 0, name
+            with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
+                assert _constrained_or_refusal(a_, b_, p, q, c, monkeypatch) == expected, name
+            assert pivots["runs"] > 0, name
+            assert accumulates["runs"] == 0, name
 
 
 def _constrained_inputs(rng, max_n, lo, hi, extra=5):

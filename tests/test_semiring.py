@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from tropspan import (INSTANCES, InversionOfZero, Semifield, TrConditionViolated, max_plus,
                       max_times, min_plus)
+from support import counted_line
 
 NEG_INF = float("-inf")
 
@@ -146,19 +147,48 @@ def closure_then_product(rows, tail):
     return closure + Semifield.product(max_plus, tail, tuple(zip(*closure)))
 
 
-@given(case=st.integers(1, 6).flatmap(
-    lambda n: st.tuples(int_rows(n, n, n), int_rows(n, 0, 4))))
-# a float in the tail sends the whole pass to the generic loop, where the
-# int/float tie keeps the earlier term: 2.0**60 + 0 over (2**60 - 3) + 3
+def tail_rows(n):
+    # int tails share the packed fields; float and mixed ones, and ints too
+    # wide for 64-bit fields, leave tail ⊗ C* to `product`
+    wide = st.one_of(st.integers(-4, 4), st.just(NEG_INF),
+                     st.integers(2 ** 61, 2 ** 70), st.integers(-2 ** 70, -2 ** 61))
+    return st.one_of(int_rows(n, 0, 4),
+                     st.lists(st.lists(kernel_entries(), min_size=n, max_size=n), max_size=4),
+                     st.lists(st.lists(wide, min_size=n, max_size=n), max_size=4))
+
+
+@given(case=st.integers(1, 6).flatmap(lambda n: st.tuples(int_rows(n, n, n), tail_rows(n))))
+# a float in the tail leaves tail ⊗ C* to `product`, where the int/float tie
+# keeps the earlier term: 2.0**60 + 0 over (2**60 - 3) + 3
 @example(case=([[0, NEG_INF], [3, 0]], [[2.0 ** 60, 2 ** 60 - 3], [NEG_INF, 1]]))
+# C fits 8-bit fields, the tail with it needs more than 64 bits
+@example(case=([[0, -1], [-1, 0]], [[2 ** 62, NEG_INF], [1, -2 ** 62]]))
+# t_1 = 0 is one above the column acc_1 = 0 + c*_01 = -1: not dominated
+@example(case=([[0, -1], [-1, 0]], [[0, 0]]))
 def test_max_plus_star_with_a_tail_matches_the_loop_and_product(case):
-    """`max_plus.star(rows, tail)`, whose tail rows ride through the packed
-    pivots, and the generic `Semifield.star(rows, tail)`, against the
-    generic closure followed by `Semifield.product`."""
+    """`max_plus.star(rows, tail)`, which forms tail ⊗ C* from the packed
+    rows of C* after the pivots, and the generic `Semifield.star(rows,
+    tail)`, against the generic closure followed by `Semifield.product`."""
     rows, tail = case
     expected = star_or_refusal(lambda r: closure_then_product(r, tail), rows)
     assert star_or_refusal(lambda r: max_plus.star(r, tail), rows) == expected
     assert star_or_refusal(lambda r: Semifield.star(max_plus, r, tail), rows) == expected
+
+
+def test_max_plus_star_refuses_before_any_tail_row():
+    """The pivots run on C's rows alone, so a refusal leaves before the
+    packed accumulate of the tail.  A feasible C then runs it, once per
+    term t_k ⊗ (row k of C*) but for 𝟘 and dominated terms: in row
+    (9, 1) the first term already gives column 1 its 9 + 1 ≥ 1."""
+    tail = [[5, NEG_INF], [2, 7], [9, 1]]
+    with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
+        with pytest.raises(TrConditionViolated) as refusal:
+            max_plus.star([[0, 1], [0, 0]], tail)
+    assert refusal.value.args == (1, 1)
+    assert accumulates["runs"] == 0
+    with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
+        assert max_plus.star([[0, 1], [-1, 0]], tail)[2:] == ((5, 6), (6, 7), (9, 10))
+    assert accumulates["runs"] == 4
 
 
 def test_max_plus_kernels_keep_the_left_operand_of_a_tie():
