@@ -23,7 +23,7 @@ from itertools import chain, repeat
 
 from .errors import InvariantViolation, TrConditionViolated, TropicalError
 from .matvec import Matrix, _fmt
-from .scheduling import (latest_schedule, max_completion_spread,
+from .scheduling import (_latest_columns, max_completion_spread,
                          max_completion_spread_constrained, max_initiation_spread)
 from .semiring import max_plus
 
@@ -195,8 +195,6 @@ _STATUS_JSON = ('{\n  "status": "%s",\n  "delta": null,\n  "pairs": [],\n'
                 '  "families": [],\n  "schedules": []\n}\n')
 _DOCUMENT = ('{\n  "status": "ok",\n  "delta": %s,\n  "pairs": %s,\n'
              '  "families": %s,\n  "schedules": %s\n}\n')
-_PAIR = '{\n      "k": %d,\n      "s": %d\n    }'
-_FAMILY = '{\n      "pinned_index": %d,\n      "pinned_value": %s,\n      "upper_bounds": '
 _SCHEDULE = '{\n      "initiation": %s,%s\n      "span": %s\n    }'
 
 
@@ -220,51 +218,71 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     """The json or text output of a solved run, written straight from the report.
 
     The families of one row share one bounds tuple, so each distinct
-    tuple is shifted by alpha, turned into texts and written once, keyed
-    by its id; each pair and each family is then one template fill.
+    tuple object is shifted by alpha, turned into texts and written
+    once, keyed by its id.  Under `--latest`, `_latest_columns` has
+    already shifted the first of each set of equal tuples, so the writer
+    shifts only the other objects.  The 1-based index texts and the
+    heads of a family and of a pair for each index are built once: a
+    family is then four list items and a pair one concatenation, with no
+    template fill.  The schedules are written from the raw columns; an
+    x_j equal to a shifted bounds vector reuses its texts, since `_fmt`
+    gives equal values equal texts.
     """
+    columns, shifted = (_latest_columns(report, closure, completion_matrix, alpha)
+                        if latest else ((), {}))
     mul = max_plus.mul
-    shifted: dict[int, list[str]] = {}
+    texts: dict[int, list[str]] = {}
     for fam in report.families:
-        if id(fam.upper_bounds) not in shifted:
-            shifted[id(fam.upper_bounds)] = _texts(map(mul, repeat(alpha), fam.upper_bounds))
-    schedules = [(_texts(chain.from_iterable(sched.initiation.data)),
-                  None if sched.completion is None
-                  else _texts(chain.from_iterable(sched.completion.data)),
-                  _fmt(sched.span))
-                 for sched in (latest_schedule(report, closure, completion_matrix, alpha)
-                               if latest else ())]
+        key = id(fam.upper_bounds)
+        if key not in texts:
+            member = shifted.get(key)
+            texts[key] = _texts(map(mul, repeat(alpha), fam.upper_bounds)
+                                if member is None else member)
+    # each x_j with the id of a tuple whose shifted texts it can reuse, or None
+    known = {member: key for key, member in shifted.items()}
+    schedules = [(x, y, known.get(x)) for x, y in columns]
+    # every index a report holds is below n: its problem is n×n
+    n = len(report.families[0].upper_bounds) if report.families else 0
+    labels = list(map(str, range(1, n + 1)))
     delta = _fmt(report.delta)
     if fmt == "json":
-        bounds = {key: _list_text(values, "      ") for key, values in shifted.items()}
-        # a family is its head, filled, then its row's bounds text: one shared
-        # string, joined once with the rest instead of copied into each family
+        lists = {key: _list_text(values, "      ") for key, values in texts.items()}
+        bounds = {key: ',\n      "upper_bounds": ' + text for key, text in lists.items()}
+        heads = ['{\n      "pinned_index": ' + label + ',\n      "pinned_value": '
+                 for label in labels]
+        # a family is its head, its pinned text and its row's bounds text:
+        # shared strings, joined once with the rest instead of copied
         pieces, sep = [], "[\n    "
         for fam in report.families:
-            key = id(fam.upper_bounds)
-            pieces += (sep, _FAMILY % (fam.pinned_index + 1, shifted[key][fam.pinned_index]),
-                       bounds[key])
+            key, k = id(fam.upper_bounds), fam.pinned_index
+            pieces += (sep, heads[k], texts[key][k], bounds[key])
             sep = "\n    },\n    "
         families = "".join(pieces) + "\n    }\n  ]" if pieces else "[]"
-        pairs = [_PAIR % (k + 1, s + 1) for k, s in report.pairs]
-        entries = [_SCHEDULE % (_list_text(x, "      "), "" if y is None else
-                                f'\n      "completion": {_list_text(y, "      ")},', span)
-                   for x, y, span in schedules]
+        pair_heads = ['{\n      "k": ' + label + ',\n      "s": ' for label in labels]
+        pair_tails = [label + "\n    }" for label in labels]
+        pairs = [pair_heads[k] + pair_tails[s] for k, s in report.pairs]
+        entries = [_SCHEDULE % (_list_text(_texts(x), "      ") if key is None else lists[key],
+                                "" if y is None else
+                                f'\n      "completion": {_list_text(_texts(y), "      ")},',
+                                delta)
+                   for x, y, key in schedules]
         return _DOCUMENT % (delta, _list_text(pairs, "  "), families, _list_text(entries, "  "))
     var = "u" if closure is not None else "x"
     # each row's "x_j <= b_j" parts once; a family swaps in "=" at its pinned index
-    parts = {key: [f"{var}{j} <= {b}" for j, b in enumerate(values, start=1)]
-             for key, values in shifted.items()}
+    parts = {key: [f"{var}{label} <= {b}" for label, b in zip(labels, values)]
+             for key, values in texts.items()}
+    heads = [f"family k={label} s=" for label in labels]
     lines = ["status: ok", f"delta: {delta}"]
     for (k, s), fam in zip(report.pairs, report.families):
-        row, i = parts[id(fam.upper_bounds)], fam.pinned_index
-        pinned = f"{var}{i + 1} = {shifted[id(fam.upper_bounds)][i]}"
-        lines.append(f"family k={k + 1} s={s + 1}: " + ", ".join([*row[:i], pinned, *row[i + 1:]]))
-    for x, y, span in schedules:
-        piece = f"schedule: initiation = ({', '.join(x)})"
+        key, i = id(fam.upper_bounds), fam.pinned_index
+        pinned = f"{var}{labels[i]} = {texts[key][i]}"
+        row = parts[key]
+        lines.append(heads[k] + labels[s] + ": " + ", ".join([*row[:i], pinned, *row[i + 1:]]))
+    for x, y, key in schedules:
+        piece = f"schedule: initiation = ({', '.join(_texts(x) if key is None else texts[key])})"
         if y is not None:
-            piece += f", completion = ({', '.join(y)})"
-        lines.append(piece + f", span = {span}")
+            piece += f", completion = ({', '.join(_texts(y))})"
+        lines.append(piece + f", span = {delta}")
     return "\n".join(lines) + "\n"
 
 

@@ -105,7 +105,26 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     once by its `id`, so it is hashed by value once.  The shifted
     vectors are the columns of one n×d matrix X, so `closure @ X` and
     `start_finish @ X` are each formed once, whatever the number d of
-    distinct vectors.
+    distinct vectors.  The work is `_latest_columns`; the CLI calls it
+    directly and writes the columns without wrapping them in `Schedule`s.
+    """
+    columns, _ = _latest_columns(report, closure, start_finish, alpha)
+    sf = report.families[0].sf
+    # zip of one iterable yields the 1-tuples of a column's rows
+    return [Schedule(Matrix._wrap(sf, tuple(zip(xj))),
+                     None if yj is None else Matrix._wrap(sf, tuple(zip(yj))), report.delta)
+            for xj, yj in columns]
+
+
+def _latest_columns(report: SolutionReport, closure: Matrix | None,
+                    start_finish: Matrix | None, alpha: Scalar | None):
+    """The work of `latest_schedule`, without its `Schedule` records.
+
+    Returns `(columns, shifted)`: `columns` lists the distinct
+    `(x_j, y_j)` tuples in family order, `y_j` None without
+    `start_finish`; `shifted` maps the `id` of each first-of-equal
+    bounds tuple to its shifted member, so that a caller which needs
+    the shifted bounds too shifts only the tuple objects not in it.
     """
     if not report.families:
         raise ValueError("the report contains no solution families")
@@ -122,20 +141,18 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     # share bounds (all pairs with the same row s) share their schedule;
     # a dict keeps the first of equal keys, in first-seen order
     by_id = {id(fam.upper_bounds): fam.upper_bounds for fam in report.families}
-    members = []
+    shifted = {}
     for bounds in dict.fromkeys(by_id.values()):
+        key = id(bounds)
         if zero in bounds or not sf.contains_all(bounds):
             # as in `BoxFamily.max_member`, the constructor canonicalises 𝟘
             # or raises its own message
             bounds = Matrix.column(sf, bounds).entries()
-        members.append(tuple(map(mul, repeat(alpha), bounds)))
-    x = Matrix._wrap(sf, tuple(zip(*members)))
+        shifted[key] = tuple(map(mul, repeat(alpha), bounds))
+    x = Matrix._wrap(sf, tuple(zip(*shifted.values())))
     if closure is not None:
         x = closure @ x
     y = start_finish @ x if start_finish is not None else None
     # a dict keeps the first of equal keys: the first family's schedule
     columns = dict.fromkeys(zip(zip(*x.data), repeat(None) if y is None else zip(*y.data)))
-    # zip of one iterable yields the 1-tuples of a column's rows
-    return [Schedule(Matrix._wrap(sf, tuple(zip(xj))),
-                     None if yj is None else Matrix._wrap(sf, tuple(zip(yj))), report.delta)
-            for xj, yj in columns]
+    return list(columns), shifted

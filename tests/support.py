@@ -329,7 +329,13 @@ def counted_line(func, text: str):
     A line tracer on `func`'s frames only, removed on exit; yields a
     Counter whose "runs" is the count.  For code that makes no call a
     shadow could count, such as the packed rows of `max_plus.star`.
+    Refuses to start while a tracer is set, such as an enclosing
+    `counted_line`: the inner tracer would replace it, and the outer
+    count would read 0.
     """
+    if sys.gettrace() is not None:
+        raise RuntimeError("counted_line cannot run under another tracer; "
+                           "count one line per run")
     lines, first = inspect.getsourcelines(func)
     [target] = [first + i for i, line in enumerate(lines) if text in line]
     code = func.__code__
@@ -340,12 +346,11 @@ def counted_line(func, text: str):
             counts["runs"] += 1
         return on_line
 
-    previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
     try:
         yield counts
     finally:
-        sys.settrace(previous)
+        sys.settrace(None)
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 
 from tropspan import (BoxFamily, InvariantViolation, InversionOfZero, Matrix, NotIrreducible,
                       NotRegular, NotSquare, ShapeMismatch, SolutionReport, TrConditionViolated,
-                      TropicalError, ZeroEntry, max_plus)
+                      TropicalError, ZeroEntry, latest_schedule, max_plus)
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
                           _render, _render_status, main)
 from oracles import document, status_document, text
-from support import (dump_project, parse_matrix_by_rows, random_feasible_constraint,
-                     run_python)
+from support import (counted_products, dump_project, parse_matrix_by_rows,
+                     potential_start_start, random_feasible_constraint, run_python)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -313,8 +313,9 @@ def _random_project(rng, command):
 
 
 def _reports():
-    """(report, closure, completion matrix) of random and all-tied runs and
-    of two hand-built reports whose numbers print in every way json has."""
+    """(report, closure, completion matrix) of random, all-tied, narrow and
+    shifted-range runs and of two hand-built reports whose numbers print in
+    every way json has."""
     rng = random.Random(11)
     for command in ("sf", "ss", "combined"):
         for _ in range(25):
@@ -326,6 +327,16 @@ def _reports():
         assert all(fam.upper_bounds is run[0].families[i % n].upper_bounds
                    for i, fam in enumerate(run[0].families))
         yield run
+    # 40x40 narrow and shifted-range runs: n distinct bounds vectors, so n
+    # schedules, each written from a column equal to a bounds vector
+    for lo, hi in ((0, 2), (5, 8)):
+        yield _dispatch("sf", Matrix(max_plus, [[rng.randint(lo, hi) for _ in range(40)]
+                                                for _ in range(40)]), None)
+    # a combined run at n = 24, with a narrow A over a sparse potential-based
+    # C: two of its three bounds tuples are equal but distinct objects
+    rows, _ = potential_start_start(rng, 24, 0.3)
+    yield _dispatch("combined", Matrix(max_plus, [[rng.randint(0, 2) for _ in range(24)]
+                                                  for _ in range(24)]), Matrix(max_plus, rows))
     # an int and an equal float print differently; -0.0, 1e16 and 1e-07 print
     # as ints or in exponent form; the last two families hold equal bounds
     # in tuples of their own
@@ -350,11 +361,37 @@ def test_writer_matches_the_reference_documents():
                 assert _render(*args, "json") == json.dumps(doc, indent=2) + "\n"
                 assert _render(*args, "text") == text(doc, closure is not None)
                 count += 1
-    assert count == (3 * 25 + 4) * 4
+    assert count == (3 * 25 + 7) * 4
     for status in ("infeasible", "invalid_input"):
         doc = status_document(status)
         assert _render_status(status, "json") == json.dumps(doc, indent=2) + "\n"
         assert _render_status(status, "text") == text(doc, False)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_latest_render_shifts_each_bounds_tuple_object_once(tied):
+    # all-tied: n bounds tuples of equal values, one per row; narrow: with a
+    # repeated row, so two of its tuples are equal but distinct objects
+    rng = random.Random(4)
+    n = 12
+    rows = [[0] * n for _ in range(n)] if tied else [[rng.randint(0, 2) for _ in range(n)]
+                                                      for _ in range(n)]
+    rows[1] = rows[0]
+    a = Matrix(max_plus, rows)
+    report, _, _ = _dispatch("sf", a, None)
+    objects = {id(fam.upper_bounds) for fam in report.families}
+    distinct = dict.fromkeys(fam.upper_bounds for fam in report.families)
+    assert len(objects) > len(distinct)
+    # the one product `latest_schedule` forms: A times the distinct shifted bounds
+    x = Matrix._wrap(max_plus, tuple(zip(*(tuple(v + 3 for v in b) for b in distinct))))
+    with counted_products() as product:
+        a @ x
+    with counted_products() as library:
+        latest_schedule(report, None, a, 3)
+    with counted_products() as render:
+        _render(report, None, a, 3, True, "json")
+    assert library["mul"] == n * len(distinct) + product["mul"]
+    assert render["mul"] == n * len(objects) + product["mul"]
 
 
 def _parse_per_entry(rows):

@@ -191,6 +191,18 @@ def test_max_plus_star_refuses_before_any_tail_row():
     assert accumulates["runs"] == 4
 
 
+def test_counted_line_refuses_to_nest():
+    """An inner tracer would replace the outer one, whose count would then
+    read 0; the inner block is refused and the outer one keeps counting."""
+    with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
+        with pytest.raises(RuntimeError, match="^counted_line cannot run under another tracer"):
+            with counted_line(type(max_plus).star, "ckk = ck >>"):
+                pass
+        max_plus.star([[0, 1], [-1, 0]], [[5, -3], [2, 7]])
+    assert accumulates["runs"] == 3
+    assert sys.gettrace() is None
+
+
 def test_max_plus_kernels_keep_the_left_operand_of_a_tie():
     for left, right in ((BIG, float(BIG)), (float(BIG), BIG)):
         assert typed([max_plus.dot([left, 0], [0, right])]) == typed([left])
