@@ -217,30 +217,31 @@ def _render_status(status: str, fmt: str) -> str:
 def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     """The json or text output of a solved run, written straight from the report.
 
-    The families of one row share one bounds tuple, so each distinct
-    tuple object is shifted by alpha, turned into texts and written
-    once, keyed by its id.  Under `--latest`, `_latest_columns` has
-    already shifted the first of each set of equal tuples, so the writer
-    shifts only the other objects.  The 1-based index texts and the
-    heads of a family and of a pair for each index are built once: a
-    family is then four list items and a pair one concatenation, with no
-    template fill.  The schedules are written from the raw columns; an
-    x_j equal to a shifted bounds vector reuses its texts, since `_fmt`
-    gives equal values equal texts.
+    The writer owns the shifted bounds.  The families of one row share
+    one bounds tuple, so one walk collects the distinct tuple objects by
+    id, and each is shifted by alpha and turned into texts once.  Under
+    `--latest`, `_latest_columns` takes the shifted vector of the first
+    of each set of equal tuples; an x_j equal to one reuses its texts,
+    since `_fmt` gives equal values equal texts.  The 1-based index
+    texts and the heads of a family and of a pair for each index are
+    built once: a family is then four list items and a pair one
+    concatenation, with no template fill.
     """
-    columns, shifted = (_latest_columns(report, closure, completion_matrix, alpha)
-                        if latest else ((), {}))
     mul = max_plus.mul
-    texts: dict[int, list[str]] = {}
-    for fam in report.families:
-        key = id(fam.upper_bounds)
-        if key not in texts:
-            member = shifted.get(key)
-            texts[key] = _texts(map(mul, repeat(alpha), fam.upper_bounds)
-                                if member is None else member)
-    # each x_j with the id of a tuple whose shifted texts it can reuse, or None
-    known = {member: key for key, member in shifted.items()}
-    schedules = [(x, y, known.get(x)) for x, y in columns]
+    # a dict keeps one entry per tuple object, in first-seen order
+    objects = {id(fam.upper_bounds): fam.upper_bounds for fam in report.families}
+    shifted = {key: tuple(map(mul, repeat(alpha), bounds)) for key, bounds in objects.items()}
+    texts = {key: _texts(member) for key, member in shifted.items()}
+    schedules = []
+    if latest:
+        # equal tuples collapse before the shift, as in `latest_schedule` (a
+        # shift can round an int and an equal float apart); a dict keeps the
+        # first of equal keys
+        keys = [id(bounds) for bounds in dict.fromkeys(objects.values())]
+        # each x_j with the id of a tuple whose shifted texts it can reuse, or None
+        known = {shifted[key]: key for key in keys}
+        schedules = [(x, y, known.get(x)) for x, y in _latest_columns(
+            max_plus, [shifted[key] for key in keys], closure, completion_matrix)]
     # every index a report holds is below n: its problem is n×n
     n = len(report.families[0].upper_bounds) if report.families else 0
     labels = list(map(str, range(1, n + 1)))

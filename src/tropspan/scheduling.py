@@ -22,7 +22,7 @@ from .errors import InvariantViolation, NotIrreducible, NotSquare
 from .matvec import Matrix, asterate, ones
 from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
                         solve_constrained, solve_norm_form)
-from .semiring import Scalar
+from .semiring import Scalar, Semifield
 from .solvers import _Frozen
 
 
@@ -97,41 +97,18 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     produce identical schedules are collapsed; distinct ones are all
     returned, in family order.
 
-    Alpha is checked once.  Each distinct bounds vector is checked, by
-    one `contains_all`, and shifted once, with the checks and messages
-    of `Matrix` and `Matrix.scale`, but without building a `Matrix` for
-    a vector that holds no 𝟘 and only carrier elements.  A bounds tuple
-    object that several families share (those of one row do) is taken
-    once by its `id`, so it is hashed by value once.  The shifted
-    vectors are the columns of one n×d matrix X, so `closure @ X` and
-    `start_finish @ X` are each formed once, whatever the number d of
-    distinct vectors.  The work is `_latest_columns`; the CLI calls it
-    directly and writes the columns without wrapping them in `Schedule`s.
-    """
-    columns, _ = _latest_columns(report, closure, start_finish, alpha)
-    sf = report.families[0].sf
-    # zip of one iterable yields the 1-tuples of a column's rows
-    return [Schedule(Matrix._wrap(sf, tuple(zip(xj))),
-                     None if yj is None else Matrix._wrap(sf, tuple(zip(yj))), report.delta)
-            for xj, yj in columns]
-
-
-def _latest_columns(report: SolutionReport, closure: Matrix | None,
-                    start_finish: Matrix | None, alpha: Scalar | None):
-    """The work of `latest_schedule`, without its `Schedule` records.
-
-    Returns `(columns, shifted)`: `columns` lists the distinct
-    `(x_j, y_j)` tuples in family order, `y_j` None without
-    `start_finish`; `shifted` maps the `id` of each first-of-equal
-    bounds tuple to its shifted member, so that a caller which needs
-    the shifted bounds too shifts only the tuple objects not in it.
+    Alpha is checked once.  Families that share a bounds tuple object
+    (those of one row do) are taken once by its `id`; equal tuples are
+    then collapsed by value, before the shift, keeping the first.  Each
+    distinct vector is checked by one `contains_all` and shifted once,
+    with the messages of `Matrix` and `Matrix.scale` but no `Matrix`
+    built for a vector of carrier elements other than 𝟘.
+    `_latest_columns` then forms each product once.
     """
     if not report.families:
         raise ValueError("the report contains no solution families")
     sf = report.families[0].sf
-    if alpha is None:
-        alpha = sf.one
-    alpha = sf.canonical(alpha)
+    alpha = sf.canonical(sf.one if alpha is None else alpha)
     if sf.is_zero(alpha):
         raise ValueError("alpha must exceed the semifield zero")
     if not sf.contains(alpha):
@@ -141,18 +118,31 @@ def _latest_columns(report: SolutionReport, closure: Matrix | None,
     # share bounds (all pairs with the same row s) share their schedule;
     # a dict keeps the first of equal keys, in first-seen order
     by_id = {id(fam.upper_bounds): fam.upper_bounds for fam in report.families}
-    shifted = {}
+    vectors = []
     for bounds in dict.fromkeys(by_id.values()):
-        key = id(bounds)
         if zero in bounds or not sf.contains_all(bounds):
             # as in `BoxFamily.max_member`, the constructor canonicalises 𝟘
             # or raises its own message
             bounds = Matrix.column(sf, bounds).entries()
-        shifted[key] = tuple(map(mul, repeat(alpha), bounds))
-    x = Matrix._wrap(sf, tuple(zip(*shifted.values())))
+        vectors.append(tuple(map(mul, repeat(alpha), bounds)))
+    # zip of one iterable yields the 1-tuples of a column's rows
+    return [Schedule(Matrix._wrap(sf, tuple(zip(xj))),
+                     None if yj is None else Matrix._wrap(sf, tuple(zip(yj))), report.delta)
+            for xj, yj in _latest_columns(sf, vectors, closure, start_finish)]
+
+
+def _latest_columns(sf: Semifield, vectors: list[tuple], closure: Matrix | None,
+                    start_finish: Matrix | None) -> list[tuple]:
+    """The distinct `(x_j, y_j)` columns of the shifted bounds `vectors`,
+    in order, `y_j` None without `start_finish`.
+
+    The vectors are the columns of one n×d matrix X, so `closure @ X`
+    and `start_finish @ X` are each formed once.  The caller owns the
+    vectors: it has checked, collapsed and shifted them.
+    """
+    x = Matrix._wrap(sf, tuple(zip(*vectors)))
     if closure is not None:
         x = closure @ x
     y = start_finish @ x if start_finish is not None else None
     # a dict keeps the first of equal keys: the first family's schedule
-    columns = dict.fromkeys(zip(zip(*x.data), repeat(None) if y is None else zip(*y.data)))
-    return list(columns), shifted
+    return list(dict.fromkeys(zip(zip(*x.data), repeat(None) if y is None else zip(*y.data))))

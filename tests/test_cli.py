@@ -314,8 +314,8 @@ def _random_project(rng, command):
 
 def _reports():
     """(report, closure, completion matrix) of random, all-tied, narrow and
-    shifted-range runs and of two hand-built reports whose numbers print in
-    every way json has."""
+    shifted-range runs and of three hand-built reports: two whose numbers
+    print in every way json has, one whose equal tuples a shift rounds apart."""
     rng = random.Random(11)
     for command in ("sf", "ss", "combined"):
         for _ in range(25):
@@ -349,6 +349,10 @@ def _reports():
     bounds = (5e-324, -0.0, 0.1 + 0.2, 2.0**53 + 2, 10**22, 1e22, sys.float_info.max, -2.5)
     families = tuple(BoxFamily(max_plus, i, bounds) for i in (0, 2, 4, 5, 6, 7))
     yield SolutionReport(0.1 + 0.2, tuple((i, i) for i in range(6)), families), None, None
+    # equal tuples that alpha 7 shifts apart (only the int stays exact): the
+    # writer must collapse them before the shift, into the int's one schedule
+    families = (BoxFamily(max_plus, 0, (10**22, 0)), BoxFamily(max_plus, 0, (1e22, 0)))
+    yield SolutionReport(0, ((0, 0), (0, 1)), families), None, None
 
 
 def test_writer_matches_the_reference_documents():
@@ -361,35 +365,39 @@ def test_writer_matches_the_reference_documents():
                 assert _render(*args, "json") == json.dumps(doc, indent=2) + "\n"
                 assert _render(*args, "text") == text(doc, closure is not None)
                 count += 1
-    assert count == (3 * 25 + 7) * 4
+    assert count == (3 * 25 + 8) * 4
     for status in ("infeasible", "invalid_input"):
         doc = status_document(status)
         assert _render_status(status, "json") == json.dumps(doc, indent=2) + "\n"
         assert _render_status(status, "text") == text(doc, False)
 
 
-@pytest.mark.parametrize("tied", [True, False])
-def test_latest_render_shifts_each_bounds_tuple_object_once(tied):
+@pytest.mark.parametrize("kind", ["tied", "narrow", "combined"])
+def test_latest_render_shifts_each_bounds_tuple_object_once(kind):
     # all-tied: n bounds tuples of equal values, one per row; narrow: with a
-    # repeated row, so two of its tuples are equal but distinct objects
+    # repeated row, so two of its tuples are equal but distinct objects;
+    # combined: a narrow A over a potential-based C, three tuple objects of
+    # one value
     rng = random.Random(4)
     n = 12
-    rows = [[0] * n for _ in range(n)] if tied else [[rng.randint(0, 2) for _ in range(n)]
-                                                      for _ in range(n)]
+    c = Matrix(max_plus, potential_start_start(rng, n, 0.3)[0]) if kind == "combined" else None
+    rows = ([[0] * n for _ in range(n)] if kind == "tied"
+            else [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
     rows[1] = rows[0]
     a = Matrix(max_plus, rows)
-    report, _, _ = _dispatch("sf", a, None)
+    report, closure, _ = _dispatch("sf" if c is None else "combined", a, c)
     objects = {id(fam.upper_bounds) for fam in report.families}
     distinct = dict.fromkeys(fam.upper_bounds for fam in report.families)
     assert len(objects) > len(distinct)
-    # the one product `latest_schedule` forms: A times the distinct shifted bounds
+    # the products `latest_schedule` forms: A, after the closure if any,
+    # times the distinct shifted bounds
     x = Matrix._wrap(max_plus, tuple(zip(*(tuple(v + 3 for v in b) for b in distinct))))
     with counted_products() as product:
-        a @ x
+        a @ (x if closure is None else closure @ x)
     with counted_products() as library:
-        latest_schedule(report, None, a, 3)
+        latest_schedule(report, closure, a, 3)
     with counted_products() as render:
-        _render(report, None, a, 3, True, "json")
+        _render(report, closure, a, 3, True, "json")
     assert library["mul"] == n * len(distinct) + product["mul"]
     assert render["mul"] == n * len(objects) + product["mul"]
 
