@@ -33,7 +33,8 @@ class ProblemInstance(_Frozen):
 
     Preconditions are checked on construction: A (m×n) has no zero
     entries, B (l×n) is column regular, p (m) and q (l) are regular,
-    and A and B agree on the number of columns.
+    and A and B agree on the number of columns.  B = A needs no column
+    check: A's zero-freeness puts a nonzero entry in every column.
     """
 
     __slots__ = ("A", "B", "p", "q")
@@ -60,18 +61,18 @@ class ProblemInstance(_Frozen):
                 f"vector q must have one component per row of B; "
                 f"got {q.rows} for {B.rows} rows")
         require_zero_free(A, "matrix A")
-        zero = A.sf.zero
-        if not B.is_column_regular():
+        if B is not A and not B.is_column_regular():
+            zero = B.sf.zero
             j = next(j for j in range(B.cols)
                      if all(r[j] == zero for r in B.data))
             raise InvariantViolation(
                 f"matrix B must be column regular; column {j + 1} "
                 f"contains only zero entries")
         for name, vec in (("p", p), ("q", q)):
-            for i, v in enumerate(vec.entries()):
-                if v == zero:
-                    raise InvariantViolation(
-                        f"vector {name} must be regular; component {i + 1} is zero")
+            pos = vec.first_zero()
+            if pos is not None:
+                raise InvariantViolation(
+                    f"vector {name} must be regular; component {pos[0] + 1} is zero")
 
     @property
     def sf(self) -> Semifield:

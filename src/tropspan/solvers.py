@@ -102,12 +102,9 @@ class BoxFamily(_Frozen):
 
 def _vector_entries(x: Matrix | Sequence[Scalar], dim: int) -> tuple[Scalar, ...]:
     if isinstance(x, Matrix):
-        if x.cols == 1:
-            entries = tuple(r[0] for r in x.data)
-        elif x.rows == 1:
-            entries = x.data[0]
-        else:
+        if not x.is_vector:
             raise ShapeMismatch("membership tests expect a vector")
+        entries = x.entries()
     else:
         entries = tuple(x)
     if len(entries) != dim:

@@ -1,14 +1,14 @@
 """Shared test data and generators.
 
-Holds the 3-activity example project used throughout the suite, random
-instance builders whose preconditions hold by construction, reference
-closures by the paper's power series, a reference irreducibility test
-by depth-first search, a max-plus instance on the
-generic vector loops with a ⊗ counter for `max_plus` and a line counter
-for code that makes no countable call, raw max/+
-evaluators that give the tests an arithmetic path independent of the
-package's semifield operations, the inverse of the CLI's file parser,
-the parser's former row-by-row matrix check, and a runner for
+Holds the 3-activity example project used throughout the suite, the
+norm-form instance (A, A, 𝟙, 𝟙), random instance builders whose
+preconditions hold by construction, reference closures by the paper's
+power series, a reference irreducibility test by depth-first search, a
+max-plus instance on the generic vector loops with a ⊗ counter for
+`max_plus` and a line counter for code that makes no countable call,
+raw max/+ evaluators that give the tests an arithmetic path independent
+of the package's semifield operations, the inverse of the CLI's file
+parser, the parser's former row-by-row matrix check, and a runner for
 subprocesses that import the package from src/.
 """
 
@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from tropspan import (Matrix, NotSquare, ProblemInstance, Scalar, Semifield,
-                      TrConditionViolated, max_plus, max_times)
+                      TrConditionViolated, max_plus, max_times, ones)
 from tropspan.semiring import _MaxPlus
 
 NEG_INF = float("-inf")
@@ -36,6 +36,12 @@ def mp(rows):
 
 def col(entries):
     return Matrix.column(max_plus, entries)
+
+
+def norm_form_instance(rows):
+    """The instance (A, A, 𝟙, 𝟙) on the max-plus matrix `rows`."""
+    a = mp(rows)
+    return ProblemInstance(a, a, ones(max_plus, a.rows), ones(max_plus, a.rows))
 
 
 # ----------------------------------------------------------------------

@@ -5,21 +5,17 @@ import pytest
 
 from tropspan import (InvariantViolation, Matrix, NotRegular, NotSquare,
                       ProblemInstance, ShapeMismatch, TrConditionViolated, asterate,
-                      evaluate_objective, max_completion_spread_constrained, max_plus,
-                      ones, optimizer, solve_constrained, solve_norm_form,
+                      evaluate_objective, max_completion_spread,
+                      max_completion_spread_constrained, max_initiation_spread,
+                      max_plus, ones, optimizer, solve_constrained, solve_norm_form,
                       solve_unconstrained)
 from tropspan.optimizer import require_zero_free
 from oracles import GridSpec, brute_force_max, solve_scalar_equation
 from support import (COMBINED, NEG_INF, SS_STAR, START_FINISH, START_START, col,
-                     counted_line, counted_products, mp, potential_start_start,
-                     random_feasible_constraint, random_instance,
-                     random_regular_column, random_row_regular, raw_objective,
-                     raw_span)
-
-
-def norm_form_instance(rows):
-    a = mp(rows)
-    return ProblemInstance(a, a, ones(max_plus, a.rows), ones(max_plus, a.rows))
+                     counted_line, counted_products, mp, norm_form_instance,
+                     potential_start_start, random_feasible_constraint,
+                     random_instance, random_regular_column, random_row_regular,
+                     raw_objective, raw_span)
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +40,27 @@ def test_instance_validation_names_the_failed_precondition():
         ProblemInstance(a, a, unit, ones(max_plus, 4))
     with pytest.raises(InvariantViolation, match="column vectors"):
         ProblemInstance(a, a, Matrix.row(max_plus, [0, 0, 0]), unit)
+
+
+def test_solves_on_b_equal_a_scan_no_columns(monkeypatch):
+    # every scheduling solve passes B = A, whose column regularity follows
+    # from the zero-freeness of A checked just before
+    calls = []
+    scan = Matrix.is_column_regular
+
+    def counted(self):
+        calls.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(Matrix, "is_column_regular", counted)
+    max_completion_spread(mp(START_FINISH))
+    max_initiation_spread(mp(START_START))
+    max_completion_spread_constrained(mp(START_FINISH), mp(START_START))
+    assert calls == []
+    unit = ones(max_plus, 3)
+    b = mp(START_FINISH)
+    ProblemInstance(mp(START_FINISH), b, unit, unit)
+    assert calls == [b]
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,22 @@ def test_validation_messages_are_unchanged(build, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("a,b,p,message", [
+    (B_ZERO_COLUMN, B_ZERO_COLUMN, Matrix.column(max_plus, [None, 0]),
+     "matrix A must have no zero entries; entry at row 1, column 2 is zero"),
+    (Matrix(max_plus, [[0, None], [0, 1]]), B_ZERO_COLUMN, Matrix.column(max_plus, [None, 0]),
+     "matrix A must have no zero entries; entry at row 1, column 2 is zero"),
+    (A, B_ZERO_COLUMN, Matrix.column(max_plus, [None, 0]),
+     "matrix B must be column regular; column 2 contains only zero entries"),
+    (A, A, Matrix.column(max_plus, [0, None]),
+     "vector p must be regular; component 2 is zero"),
+], ids=["B-is-A-with-a-zero", "A-zero-B-column-p", "B-column-p", "B-is-A-p"])
+def test_the_first_broken_precondition_names_the_refusal(a, b, p, message):
+    with pytest.raises(InvariantViolation) as info:
+        ProblemInstance(a, b, p, Matrix.column(max_plus, [None, None]))
+    assert str(info.value) == message
+
+
 # ----------------------------------------------------------------------
 # copies and pickles: Matrix equality compares semifields by identity
 

@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,9 @@ from tropspan import (INSTANCES, BoxFamily, InvariantViolation, Matrix, NotIrred
                       max_completion_spread_constrained, max_initiation_spread,
                       max_plus)
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, is_irreducible,
-                     mp, random_feasible_constraint, random_zero_free,
-                     raw_satisfies_constraint, raw_span, rng_matrix, sub_unit,
-                     tr_closure)
+                     mp, potential_start_start, random_feasible_constraint,
+                     random_zero_free, raw_satisfies_constraint, raw_span, rng_matrix,
+                     sub_unit, tr_closure)
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +385,54 @@ def test_latest_schedule_makes_one_product_per_matrix(monkeypatch):
     # the distinct vectors are the columns of one matrix, multiplied once by each
     assert len(products) == 2
     assert products[0] is closure and products[1] is a
+
+
+# ----------------------------------------------------------------------
+# solver-made constrained reports: each bounds vector u has C* ⊗ u = u.
+# With D = A ⊗ C* (or C* itself for ss), D ⊗ C* = D, so u = (row s of D)⁻
+# is a fixed point of C*; on ints the identity is exact.
+
+DATA = Path(__file__).parent / "data"
+FIXED_POINT_CASES = [(n, density, kind) for n in (1, 2, 5, 12, 28)
+                     for density in ("sparse", "dense")
+                     for kind in ("ss", "combined", "combined-with-zeros")]
+
+
+def _seeded_project(n, density, kind):
+    rng = random.Random(n)
+    c, _ = potential_start_start(rng, n, {"sparse": 0.1, "dense": 1.0}[density])
+    if kind == "ss":
+        return None, c
+    a = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
+    if kind == "combined-with-zeros":
+        # one kept entry per row keeps A row regular; C* is zero-free, so it
+        # fills every 𝟘 of A ⊗ C*
+        for row in a:
+            keep = rng.randrange(n)
+            row[:] = [v if j == keep or rng.random() < 0.5 else None
+                      for j, v in enumerate(row)]
+    return a, c
+
+
+def _golden_project(name):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    return doc.get("start_finish"), doc["start_start"]
+
+
+@pytest.mark.parametrize("project", [
+    *(pytest.param(case, id="-".join(map(str, case))) for case in FIXED_POINT_CASES),
+    *(pytest.param(name, id=name) for name in ("ex2", "ex3", "dense")),
+])
+def test_closure_fixes_every_bounds_vector_of_a_constrained_report(project):
+    a, c = _seeded_project(*project) if isinstance(project, tuple) else _golden_project(project)
+    report, closure = (max_initiation_spread(mp(c)) if a is None
+                       else max_completion_spread_constrained(mp(a), mp(c)))
+    bounds = dict.fromkeys(fam.upper_bounds for fam in report.families)
+    x = mp(list(zip(*bounds)))
+    for shifted in (x, x.scale(3)):
+        fixed = closure @ shifted
+        assert fixed == shifted
+        assert set(map(type, fixed.entries() + shifted.entries())) == {int}
 
 
 def test_latest_schedule_rejects_degenerate_arguments():

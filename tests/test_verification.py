@@ -6,13 +6,8 @@ import pytest
 from tropspan import (Matrix, ProblemInstance, ShapeMismatch, max_plus, min_plus,
                       ones, solve_unconstrained)
 from oracles import GridSpec, GridTooLarge, brute_force_max, brute_force_subeigen
-from support import (START_FINISH, START_START, col, mp, random_instance,
-                     raw_objective)
-
-
-def norm_form_instance(rows):
-    a = mp(rows)
-    return ProblemInstance(a, a, ones(max_plus, a.rows), ones(max_plus, a.rows))
+from support import (START_FINISH, START_START, col, mp, norm_form_instance,
+                     random_instance, raw_objective)
 
 
 def test_grid_spec_validation_and_size():
