@@ -55,6 +55,7 @@ def _number(text: str):
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        value = int(value) if value.is_integer() else value   # shifts ints exactly
     if not _admits(value):
         raise argparse.ArgumentTypeError("alpha must be finite")
     return value
@@ -217,70 +218,67 @@ def _render_status(status: str, fmt: str) -> str:
 def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     """The json or text output of a solved run, written straight from the report.
 
-    The writer owns the shifted bounds.  The families of one row share
-    one bounds tuple, so one walk collects the distinct tuple objects by
-    id, and each is shifted by alpha and turned into texts once.  Under
-    `--latest`, `_latest_columns` takes the shifted vector of the first
-    of each set of equal tuples; an x_j equal to one reuses its texts,
-    since `_fmt` gives equal values equal texts.  The 1-based index
-    texts and the heads of a family and of a pair for each index are
-    built once: a family is then four list items and a pair one
-    concatenation, with no template fill.
+    The writer owns the shifted bounds.  `report.bounds` holds each
+    row's vector once, so each is shifted by alpha and turned into
+    texts once, keyed by its row s, and the pairs are walked with no
+    `BoxFamily` built.  Under `--latest`, `_latest_columns` takes the
+    shifted vector of the first of each set of equal rows; an x_j equal
+    to one reuses its texts, since `_fmt` gives equal values equal
+    texts.  The 1-based index texts and the heads of a family and of a
+    pair for each index are built once: a family is then four list
+    items and a pair one concatenation, with no template fill.
     """
     mul = max_plus.mul
-    # a dict keeps one entry per tuple object, in first-seen order
-    objects = {id(fam.upper_bounds): fam.upper_bounds for fam in report.families}
-    shifted = {key: tuple(map(mul, repeat(alpha), bounds)) for key, bounds in objects.items()}
-    texts = {key: _texts(member) for key, member in shifted.items()}
+    shifted = {s: tuple(map(mul, repeat(alpha), bounds)) for s, bounds in report.bounds}
+    texts = {s: _texts(member) for s, member in shifted.items()}
     schedules = []
     if latest:
-        # equal tuples collapse before the shift, as in `latest_schedule` (a
-        # shift can round an int and an equal float apart); a dict keeps the
-        # first of equal keys
-        keys = [id(bounds) for bounds in dict.fromkeys(objects.values())]
-        # each x_j with the id of a tuple whose shifted texts it can reuse, or None
-        known = {shifted[key]: key for key in keys}
+        # equal rows collapse before the shift, as in `latest_schedule` (a
+        # shift can round an int and an equal float apart), to the first
+        firsts = {}
+        for s, bounds in report.bounds:
+            firsts.setdefault(bounds, s)
+        # each x_j with the row whose shifted texts it can reuse, or None
+        known = {shifted[s]: s for s in firsts.values()}
         schedules = [(x, y, known.get(x)) for x, y in _latest_columns(
-            max_plus, [shifted[key] for key in keys], closure, completion_matrix)]
+            max_plus, [shifted[s] for s in firsts.values()], closure, completion_matrix)]
     # every index a report holds is below n: its problem is n×n
-    n = len(report.families[0].upper_bounds) if report.families else 0
+    n = len(report.bounds[0][1]) if report.bounds else 0
     labels = list(map(str, range(1, n + 1)))
     delta = _fmt(report.delta)
     if fmt == "json":
-        lists = {key: _list_text(values, "      ") for key, values in texts.items()}
-        bounds = {key: ',\n      "upper_bounds": ' + text for key, text in lists.items()}
+        lists = {s: _list_text(values, "      ") for s, values in texts.items()}
+        bounds = {s: ',\n      "upper_bounds": ' + text for s, text in lists.items()}
         heads = ['{\n      "pinned_index": ' + label + ',\n      "pinned_value": '
                  for label in labels]
         # a family is its head, its pinned text and its row's bounds text:
         # shared strings, joined once with the rest instead of copied
         pieces, sep = [], "[\n    "
-        for fam in report.families:
-            key, k = id(fam.upper_bounds), fam.pinned_index
-            pieces += (sep, heads[k], texts[key][k], bounds[key])
+        for k, s in report.pairs:
+            pieces += (sep, heads[k], texts[s][k], bounds[s])
             sep = "\n    },\n    "
         families = "".join(pieces) + "\n    }\n  ]" if pieces else "[]"
         pair_heads = ['{\n      "k": ' + label + ',\n      "s": ' for label in labels]
         pair_tails = [label + "\n    }" for label in labels]
         pairs = [pair_heads[k] + pair_tails[s] for k, s in report.pairs]
-        entries = [_SCHEDULE % (_list_text(_texts(x), "      ") if key is None else lists[key],
+        entries = [_SCHEDULE % (_list_text(_texts(x), "      ") if s is None else lists[s],
                                 "" if y is None else
                                 f'\n      "completion": {_list_text(_texts(y), "      ")},',
                                 delta)
-                   for x, y, key in schedules]
+                   for x, y, s in schedules]
         return _DOCUMENT % (delta, _list_text(pairs, "  "), families, _list_text(entries, "  "))
     var = "u" if closure is not None else "x"
     # each row's "x_j <= b_j" parts once; a family swaps in "=" at its pinned index
-    parts = {key: [f"{var}{label} <= {b}" for label, b in zip(labels, values)]
-             for key, values in texts.items()}
+    parts = {s: [f"{var}{label} <= {b}" for label, b in zip(labels, values)]
+             for s, values in texts.items()}
     heads = [f"family k={label} s=" for label in labels]
     lines = ["status: ok", f"delta: {delta}"]
-    for (k, s), fam in zip(report.pairs, report.families):
-        key, i = id(fam.upper_bounds), fam.pinned_index
-        pinned = f"{var}{labels[i]} = {texts[key][i]}"
-        row = parts[key]
-        lines.append(heads[k] + labels[s] + ": " + ", ".join([*row[:i], pinned, *row[i + 1:]]))
-    for x, y, key in schedules:
-        piece = f"schedule: initiation = ({', '.join(_texts(x) if key is None else texts[key])})"
+    for k, s in report.pairs:
+        row = parts[s]
+        pinned = f"{var}{labels[k]} = {texts[s][k]}"
+        lines.append(heads[k] + labels[s] + ": " + ", ".join([*row[:k], pinned, *row[k + 1:]]))
+    for x, y, s in schedules:
+        piece = f"schedule: initiation = ({', '.join(_texts(x) if s is None else texts[s])})"
         if y is not None:
             piece += f", completion = ({', '.join(_texts(y))})"
         lines.append(piece + f", span = {delta}")

@@ -91,18 +91,27 @@ class SolutionReport(_Frozen):
     """The optimum and the complete description of its attainment set.
 
     `pairs` lists every maximizing index pair (k, s), zero based, in
-    lexicographic order; `families[i]` is the box of maximizers pinned
-    by `pairs[i]`.  The union of the families, closed under scaling by
-    any α > 𝟘, is exactly the set of optimal vectors.
+    lexicographic order.  A box's bounds depend only on its row s, so
+    `bounds` holds one `(s, vector)` per row, in the order of the rows'
+    first appearance in `pairs`.  `families[i]`, built afresh on each
+    access, is the box `BoxFamily(sf, k, vector of s)` of `pairs[i]`.
+    The union of the families, closed under scaling by any α > 𝟘, is
+    exactly the set of optimal vectors.
     """
 
-    __slots__ = ("delta", "pairs", "families")
+    __slots__ = ("sf", "delta", "pairs", "bounds")
 
-    def __init__(self, delta: Scalar, pairs: tuple[tuple[int, int], ...],
-                 families: tuple[BoxFamily, ...]):
+    def __init__(self, sf: Semifield, delta: Scalar, pairs: tuple[tuple[int, int], ...],
+                 bounds: tuple[tuple[int, tuple[Scalar, ...]], ...]):
+        object.__setattr__(self, "sf", sf)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def families(self) -> tuple[BoxFamily, ...]:
+        rows = dict(self.bounds)
+        return tuple(BoxFamily(self.sf, k, rows[s]) for k, s in self.pairs)
 
 
 class ConstrainedReport(namedtuple("ConstrainedReport", "report closure")):
@@ -132,8 +141,7 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     maximizers: pin x[k] = aₖ⁻ ⊗ p and, for every row s attaining
     aₖ⁻ ⊗ p = ⊕ᵢ aᵢₖ⁻¹ ⊗ pᵢ, bound x[j] ≤ aₛⱼ⁻¹ ⊗ pₛ.  All tied k and
     s are enumerated, one family per pair.  The bounds depend only on
-    s, so they are computed once per row and the families of one row
-    share one tuple.
+    s, so each row's are computed once: the report's `bounds`.
     """
     sf = inst.sf
     mul, inv, dot = sf.mul, sf.inv, sf.dot
@@ -149,19 +157,16 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     delta = sf.sum(terms)
 
     pairs: list[tuple[int, int]] = []
-    families: list[BoxFamily] = []
     row_bounds: dict[int, tuple[Scalar, ...]] = {}
     for k in range(n):
         if terms[k] != delta:
             continue
         # the rows s attaining a_k⁻ ⊗ p
         ties = list(compress(range(m), map(eq, map(mul, a_inv[k], p), repeat(col_right[k]))))
-        for s in ties:
-            if s not in row_bounds:
-                row_bounds[s] = tuple(map(mul, map(itemgetter(s), a_inv), repeat(p[s])))
+        row_bounds.update((s, tuple(map(mul, map(itemgetter(s), a_inv), repeat(p[s]))))
+                          for s in ties if s not in row_bounds)
         pairs += zip(repeat(k), ties)
-        families += map(BoxFamily, repeat(sf), repeat(k), map(row_bounds.__getitem__, ties))
-    return SolutionReport(delta, tuple(pairs), tuple(families))
+    return SolutionReport(sf, delta, tuple(pairs), tuple(row_bounds.items()))
 
 
 def solve_norm_form(a: Matrix, b: Matrix) -> SolutionReport:

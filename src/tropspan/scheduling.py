@@ -97,29 +97,26 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     produce identical schedules are collapsed; distinct ones are all
     returned, in family order.
 
-    Alpha is checked once.  Families that share a bounds tuple object
-    (those of one row do) are taken once by its `id`; equal tuples are
-    then collapsed by value, before the shift, keeping the first.  Each
-    distinct vector is checked by one `contains_all` and shifted once,
-    with the messages of `Matrix` and `Matrix.scale` but no `Matrix`
-    built for a vector of carrier elements other than 𝟘.
-    `_latest_columns` then forms each product once.
+    Alpha is checked once.  A family's largest member is its bounds
+    vector, so the families of one row share a schedule: the rows'
+    vectors come from `report.bounds`, and equal ones collapse by value,
+    before the shift, to the first.  Each distinct vector is checked by
+    one `contains_all` and shifted once, with the messages of `Matrix`
+    and `Matrix.scale` but no `Matrix` built for a vector of carrier
+    elements other than 𝟘.  `_latest_columns` forms each product once.
     """
-    if not report.families:
+    if not report.pairs:
         raise ValueError("the report contains no solution families")
-    sf = report.families[0].sf
+    sf = report.sf
     alpha = sf.canonical(sf.one if alpha is None else alpha)
     if sf.is_zero(alpha):
         raise ValueError("alpha must exceed the semifield zero")
     if not sf.contains(alpha):
         raise ValueError(f"{alpha!r} is not a {sf.name} carrier element")
     mul, zero = sf.mul, sf.zero
-    # a family's largest member is its bounds vector, so families that
-    # share bounds (all pairs with the same row s) share their schedule;
-    # a dict keeps the first of equal keys, in first-seen order
-    by_id = {id(fam.upper_bounds): fam.upper_bounds for fam in report.families}
     vectors = []
-    for bounds in dict.fromkeys(by_id.values()):
+    # a dict keeps the first of equal keys, in first-seen order
+    for bounds in dict.fromkeys(bounds for _, bounds in report.bounds):
         if zero in bounds or not sf.contains_all(bounds):
             # as in `BoxFamily.max_member`, the constructor canonicalises 𝟘
             # or raises its own message

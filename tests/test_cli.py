@@ -322,10 +322,12 @@ def _reports():
             yield _dispatch(command, *_random_project(rng, command))
     for n in (8, 40):
         run = _dispatch("sf", Matrix(max_plus, [[0] * n] * n), None)
-        # pairs run over k, then s: family i has row s = i mod n, whose tuple it shares
-        assert len(run[0].families) == n * n
-        assert all(fam.upper_bounds is run[0].families[i % n].upper_bounds
-                   for i, fam in enumerate(run[0].families))
+        # pairs run over k, then s: family i has row s = i mod n, whose tuple it
+        # shares; each access of `families` builds the records, so read it once
+        families = run[0].families
+        assert len(families) == n * n
+        assert all(fam.upper_bounds is families[i % n].upper_bounds
+                   for i, fam in enumerate(families))
         yield run
     # 40x40 narrow and shifted-range runs: n distinct bounds vectors, so n
     # schedules, each written from a column equal to a bounds vector
@@ -338,21 +340,20 @@ def _reports():
     yield _dispatch("combined", Matrix(max_plus, [[rng.randint(0, 2) for _ in range(24)]
                                                   for _ in range(24)]), Matrix(max_plus, rows))
     # an int and an equal float print differently; -0.0, 1e16 and 1e-07 print
-    # as ints or in exponent form; the last two families hold equal bounds
-    # in tuples of their own
+    # as ints or in exponent form; rows 1 and 2 hold equal bounds in tuples
+    # of their own
     bounds = (2**60, 2.0**60, -0.0, 1e16, 1e-07)
-    families = (BoxFamily(max_plus, 0, bounds), BoxFamily(max_plus, 1, bounds),
-                BoxFamily(max_plus, 3, list(bounds)), BoxFamily(max_plus, 4, list(bounds)))
-    yield SolutionReport(2.5, ((0, 0), (1, 0), (3, 1), (4, 2)), families), None, None
+    rows = ((0, bounds), (1, tuple(list(bounds))), (2, tuple(list(bounds))))
+    yield SolutionReport(max_plus, 2.5, ((0, 0), (1, 0), (3, 1), (4, 2)), rows), None, None
     # the smallest positive float, a sum that rounds, an integral float past 2**53
     # and the largest float; 10**22 == 1e22, but alpha 7 keeps only the int exact
     bounds = (5e-324, -0.0, 0.1 + 0.2, 2.0**53 + 2, 10**22, 1e22, sys.float_info.max, -2.5)
-    families = tuple(BoxFamily(max_plus, i, bounds) for i in (0, 2, 4, 5, 6, 7))
-    yield SolutionReport(0.1 + 0.2, tuple((i, i) for i in range(6)), families), None, None
+    pairs = tuple((k, 0) for k in (0, 2, 4, 5, 6, 7))
+    yield SolutionReport(max_plus, 0.1 + 0.2, pairs, ((0, bounds),)), None, None
     # equal tuples that alpha 7 shifts apart (only the int stays exact): the
     # writer must collapse them before the shift, into the int's one schedule
-    families = (BoxFamily(max_plus, 0, (10**22, 0)), BoxFamily(max_plus, 0, (1e22, 0)))
-    yield SolutionReport(0, ((0, 0), (0, 1)), families), None, None
+    rows = ((0, (10**22, 0)), (1, (1e22, 0)))
+    yield SolutionReport(max_plus, 0, ((0, 0), (0, 1)), rows), None, None
 
 
 def test_writer_matches_the_reference_documents():
@@ -565,6 +566,47 @@ def test_integral_floats_print_as_ints(tmp_path, capsys):
         '{"status":"ok","delta":1,"pairs":[{"k":1,"s":1}],"families":[{"pinned_index":1,'
         '"pinned_value":0,"upper_bounds":[0,-0.5]}],"schedules":[{"initiation":[0,-0.5],'
         '"completion":[0.5,1.5],"span":1}]}')
+
+
+# 2**60 + 1 in row 1: a float alpha would shift it to the float 2**60
+ALPHA_REPRO = '{"n": 2, "start_finish": [[1152921504606846977, 0], [0, 0]]}'
+
+
+@pytest.mark.parametrize("literal,integer",
+                         [("0.0", "0"), ("-0.0", "0"), ("2.0", "2"), ("1e3", "1000")])
+def test_integral_alpha_literals_shift_as_their_ints(tmp_path, capsys, literal, integer):
+    repro = tmp_path / "repro.json"
+    repro.write_text(ALPHA_REPRO)
+    runs = [["sf", "--input", str(repro), "--latest"], *(args for _, args in GOLDEN_RUNS[:3])]
+    for args in runs:
+        for fmt in ("json", "text"):
+            outputs = []
+            for alpha in (literal, integer):
+                assert main([*args, "--format", fmt, "--alpha", alpha]) == EXIT_OK
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+    assert main(["sf", "--input", str(repro), "--latest", "--format", "text",
+                 "--alpha", "0.0"]) == EXIT_OK
+    assert "completion = (1152921504606846977, 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,name", [("sf", "tied40"), ("ss", "ex2"), ("combined", "ex3")])
+def test_cli_solves_build_no_box_family(tmp_path, monkeypatch, capsys, command, name):
+    path = DATA / f"{name}.json"
+    if name == "tied40":
+        path = tmp_path / "tied40.json"
+        path.write_text(json.dumps({"n": 40, "start_finish": [[0] * 40] * 40}))
+    calls = []
+    init = BoxFamily.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoxFamily, "__init__", counted)
+    assert main([command, "--input", str(path), "--latest"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith('{\n  "status": "ok"')
+    assert calls == []
 
 
 def test_input_is_read_as_utf8_whatever_the_locale():

@@ -14,7 +14,7 @@ from tropspan import (BoxFamily, ConstrainedReport, InvariantViolation, Matrix,
 
 A = Matrix(max_plus, [[0, -1], [-2, 0]])
 UNIT = ones(max_plus, 2)
-FAMILY = BoxFamily(max_plus, 0, (2, 0))
+ROWS = ((1, (2, 0)),)   # the bounds of row s = 1
 
 # (class, field values, repr of the record built from them)
 RECORDS = [
@@ -24,21 +24,21 @@ RECORDS = [
      "ProblemInstance(A=Matrix(max-plus, [[0, -1], [-2, 0]]), "
      "B=Matrix(max-plus, [[0, -1], [-2, 0]]), p=Matrix(max-plus, [[0], [0]]), "
      "q=Matrix(max-plus, [[0], [0]]))"),
-    (SolutionReport, (2, ((0, 1),), (FAMILY,)),
-     "SolutionReport(delta=2, pairs=((0, 1),), families=(BoxFamily(sf=<max-plus "
-     "semifield>, pinned_index=0, upper_bounds=(2, 0)),))"),
+    (SolutionReport, (max_plus, 2, ((0, 1),), ROWS),
+     "SolutionReport(sf=<max-plus semifield>, delta=2, pairs=((0, 1),), "
+     "bounds=((1, (2, 0)),))"),
     (Schedule, (Matrix.column(max_plus, [0, 1]), None, 3),
      "Schedule(initiation=Matrix(max-plus, [[0], [1]]), completion=None, span=3)"),
-    (ConstrainedReport, (SolutionReport(2, ((0, 1),), (FAMILY,)), A),
-     "ConstrainedReport(report=SolutionReport(delta=2, pairs=((0, 1),), "
-     "families=(BoxFamily(sf=<max-plus semifield>, pinned_index=0, upper_bounds=(2, 0)),)), "
+    (ConstrainedReport, (SolutionReport(max_plus, 2, ((0, 1),), ROWS), A),
+     "ConstrainedReport(report=SolutionReport(sf=<max-plus semifield>, delta=2, "
+     "pairs=((0, 1),), bounds=((1, (2, 0)),)), "
      "closure=Matrix(max-plus, [[0, -1], [-2, 0]]))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 FIELDS = {
     BoxFamily: ("sf", "pinned_index", "upper_bounds"),
     ProblemInstance: ("A", "B", "p", "q"),
-    SolutionReport: ("delta", "pairs", "families"),
+    SolutionReport: ("sf", "delta", "pairs", "bounds"),
     Schedule: ("initiation", "completion", "span"),
     ConstrainedReport: ("report", "closure"),
 }
@@ -96,6 +96,21 @@ def test_constrained_report_compares_as_a_tuple():
 def test_box_family_stores_its_bounds_as_a_tuple():
     assert BoxFamily(max_plus, 1, [3, 4]).upper_bounds == (3, 4)
     assert BoxFamily(max_plus, 1, iter([3, 4])) == BoxFamily(max_plus, 1, (3, 4))
+
+
+def test_report_families_are_built_from_pairs_and_row_bounds():
+    row0, row1 = (0, -1), (-2, 0)
+    report = SolutionReport(max_plus, 0, ((0, 0), (1, 0), (1, 1)), ((0, row0), (1, row1)))
+    families = report.families
+    assert families == (BoxFamily(max_plus, 0, row0), BoxFamily(max_plus, 1, row0),
+                        BoxFamily(max_plus, 1, row1))
+    assert families[0].upper_bounds is families[1].upper_bounds is row0
+    with pytest.raises(AttributeError):
+        report.families = families
+    # a bad vector is refused by the family's constructor, on access
+    bad = SolutionReport(max_plus, 0, ((0, 0),), ((0, (float("-inf"), 0)),))
+    with pytest.raises(ValueError, match="^the pinned value must exceed the semifield zero$"):
+        bad.families
 
 
 B_ZERO_COLUMN = Matrix(max_plus, [[0, None], [0, None]])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tropspan import (INSTANCES, BoxFamily, InvariantViolation, Matrix, NotIrreducible,
+from tropspan import (INSTANCES, InvariantViolation, Matrix, NotIrreducible,
                       NotSquare, Schedule, ShapeMismatch, SolutionReport,
                       TrConditionViolated, latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
@@ -314,27 +314,11 @@ def test_all_tied_families_collapse_to_one_schedule():
     assert sched.initiation == col([0] * 40)
 
 
-class _CountedHash(tuple):
-    """A bounds tuple that counts how often it is hashed."""
-
-    hashes = 0
-
-    def __hash__(self):
-        _CountedHash.hashes += 1
-        return super().__hash__()
-
-
-def test_latest_schedule_skips_seen_bounds_before_hashing(monkeypatch):
-    shared = _CountedHash((0, 1, 2))
-    families = []
-    for k in range(3):
-        fam = BoxFamily(max_plus, k, (0, 1, 2))
-        object.__setattr__(fam, "upper_bounds", shared)
-        families.append(fam)
-    # equal bounds in a distinct object: only the dedup by value catches it
-    families.append(BoxFamily(max_plus, 0, (0, 1, 2)))
-    assert families[3].upper_bounds is not shared
-    report = SolutionReport(2, tuple((k, 0) for k in range(4)), tuple(families))
+def test_latest_schedule_takes_equal_rows_once(monkeypatch):
+    # rows 0 and 1 hold equal vectors in distinct tuples, ints and floats:
+    # they collapse by value to the first row's one schedule
+    report = SolutionReport(max_plus, 2, ((0, 0), (1, 0), (2, 0), (0, 1)),
+                            ((0, (0, 1, 2)), (1, (0.0, 1.0, 2.0))))
     closure = mp([[0, -1, -2], [-1, 0, -1], [-2, -1, 0]])
     products = []
     matmul = Matrix.__matmul__
@@ -344,13 +328,9 @@ def test_latest_schedule_skips_seen_bounds_before_hashing(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
-    _CountedHash.hashes = 0
     sched, = latest_schedule(report, closure, alpha=1)
-    # the insertion of the first family's tuple only; the next two share
-    # its object and are taken once by id
-    assert _CountedHash.hashes == 1
     assert len(products) == 1
-    assert sched.initiation == col([1, 2, 3])
+    assert [(v, type(v)) for v in sched.initiation.entries()] == [(1, int), (2, int), (3, int)]
 
 
 @pytest.mark.parametrize("first,later", [
@@ -359,10 +339,10 @@ def test_latest_schedule_skips_seen_bounds_before_hashing(monkeypatch):
     ((1, max_plus.zero), (True, max_plus.zero)),          # the later one is refused
 ])
 def test_latest_schedule_takes_the_first_of_equal_bounds(first, later):
-    # equal tuples in distinct objects hash and compare equal, whatever
-    # their entries' types; the first family's tuple gives the schedule
-    families = (BoxFamily(max_plus, 0, first), BoxFamily(max_plus, 0, later))
-    sched, = latest_schedule(SolutionReport(0, ((0, 0), (0, 1)), families))
+    # equal tuples of rows s = 0 and s = 1 hash and compare equal, whatever
+    # their entries' types; the first row's tuple gives the schedule
+    report = SolutionReport(max_plus, 0, ((0, 0), (0, 1)), ((0, first), (1, later)))
+    sched, = latest_schedule(report)
     assert [(v, type(v)) for v in sched.initiation.entries()] == [(v, type(v)) for v in first]
 
 
@@ -443,12 +423,11 @@ def test_latest_schedule_rejects_degenerate_arguments():
         with pytest.raises(ValueError,
                            match=f"^{text} is not a max-plus carrier element$"):
             latest_schedule(report, alpha=alpha)
-    empty = SolutionReport(0, (), ())
+    empty = SolutionReport(max_plus, 0, (), ())
     with pytest.raises(ValueError):
         latest_schedule(empty)
     # the solvers never put +inf in a bounds vector; a hand-built report can
-    infinite = SolutionReport(0, ((0, 0),),
-                              (BoxFamily(max_plus, 0, (0, float("inf"), 1)),))
+    infinite = SolutionReport(max_plus, 0, ((0, 0),), ((0, (0, float("inf"), 1)),))
     with pytest.raises(ValueError, match="^entry at row 2, column 1 is not a "
                                          "max-plus carrier element: inf$"):
         latest_schedule(infinite)
