@@ -162,12 +162,12 @@ class Matrix:
     # ------------------------------------------------------------------
     # algebra
 
-    def _same_semifield(self, other: "Matrix") -> None:
-        if self.sf is not other.sf:
+    def _same_semifield(self, sf: Semifield) -> None:
+        if self.sf is not sf:
             raise ValueError("operands belong to different semifields")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_semifield(other)
+        self._same_semifield(other.sf)
         if self.shape != other.shape:
             raise ShapeMismatch(
                 f"cannot add a {self.rows}x{self.cols} matrix "
@@ -178,12 +178,15 @@ class Matrix:
             for ra, rb in zip(self.data, other.data)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._same_semifield(other)
-        if self.cols != other.rows:
-            raise ShapeMismatch(
-                f"cannot multiply a {self.rows}x{self.cols} matrix "
-                f"by a {other.rows}x{other.cols} matrix")
+        self._require_factor(other.sf, other.rows, other.cols)
         return Matrix._wrap(self.sf, self.sf.product(self.data, tuple(zip(*other.data))))
+
+    def _require_factor(self, sf: Semifield, rows: int, cols: int) -> None:
+        """Raise as `self @ X` does for an X over `sf` of shape rows×cols."""
+        self._same_semifield(sf)
+        if self.cols != rows:
+            raise ShapeMismatch(
+                f"cannot multiply a {self.rows}x{self.cols} matrix by a {rows}x{cols} matrix")
 
     def scale(self, alpha: Scalar) -> "Matrix":
         """Multiply every entry by the scalar `alpha`."""
@@ -198,21 +201,15 @@ class Matrix:
         return Matrix._wrap(self.sf, tuple(zip(*self.data)))
 
     def conj(self) -> "Matrix":
-        """Conjugate transpose: the transpose with every entry inverted.
-
-        Defined only for matrices without zero entries, since 𝟘 would
-        need the missing top element as its inverse.
-        """
-        sf = self.sf
+        """Conjugate transpose, by `_conjugate`: the transpose with every
+        entry inverted.  Defined only for matrices without zero entries,
+        since 𝟘 would need the missing top element as its inverse."""
         pos = self.first_zero()
         if pos is not None:
             raise ZeroEntry(
                 f"cannot conjugate: entry at row {pos[0] + 1}, "
                 f"column {pos[1] + 1} is the zero")
-        inv = sf.inv
-        return Matrix._wrap(sf, tuple(
-            tuple(inv(self.data[i][j]) for i in range(self.rows))
-            for j in range(self.cols)))
+        return Matrix._wrap(self.sf, _conjugate(self.sf, self.data))
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -225,7 +222,7 @@ class Matrix:
 
     def leq(self, other: "Matrix") -> bool:
         """Entrywise order: every entry of self ≤ the matching entry of other."""
-        self._same_semifield(other)
+        self._same_semifield(other.sf)
         if self.shape != other.shape:
             raise ShapeMismatch("entrywise comparison needs equal shapes")
         leq = self.sf.leq
@@ -253,6 +250,13 @@ class Matrix:
 
     def is_zero_free(self) -> bool:
         return self.first_zero() is None
+
+
+def _conjugate(sf: Semifield, rows: tuple) -> tuple[tuple[Scalar, ...], ...]:
+    """Row j is column j of `rows` with each entry inverted by `sf.inv`:
+    the one inverse pass, of `Matrix.conj` and `solve_unconstrained`."""
+    inv = sf.inv
+    return tuple(tuple(map(inv, col)) for col in zip(*rows))
 
 
 def _fmt(v: Scalar) -> str:

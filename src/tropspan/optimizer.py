@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from operator import eq, itemgetter
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
-from .matvec import Matrix, _star, ones
+from .matvec import Matrix, _conjugate, _star, ones
 from .semiring import Scalar, Semifield
 from .solvers import BoxFamily, _Frozen
 
@@ -144,13 +144,12 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     s, so each row's are computed once: the report's `bounds`.
     """
     sf = inst.sf
-    mul, inv, dot = sf.mul, sf.inv, sf.dot
+    mul, dot = sf.mul, sf.dot
     p = inst.p.entries()
-    q = inst.q.entries()
     n, m = inst.n, inst.m
 
-    q_inv = tuple(map(inv, q))
-    a_inv = [tuple(map(inv, col)) for col in zip(*inst.A.data)]   # a_j⁻
+    q_inv, = _conjugate(sf, inst.q.data)                           # q⁻
+    a_inv = _conjugate(sf, inst.A.data)                            # row j is a_j⁻
     col_left = [dot(q_inv, col) for col in zip(*inst.B.data)]      # q⁻ ⊗ b_j
     col_right = [dot(col, p) for col in a_inv]                     # a_j⁻ ⊗ p
     terms = list(map(mul, col_left, col_right))
@@ -199,11 +198,8 @@ def solve_constrained(a: Matrix, b: Matrix, p: Matrix, q: Matrix,
     if c.cols != a.cols:
         raise ShapeMismatch(
             f"the constraint matrix must be {a.cols}x{a.cols} to match the instance")
-    a._same_semifield(c)
-    b._same_semifield(c)
-    if b.cols != c.cols:
-        raise ShapeMismatch(
-            f"cannot multiply a {b.rows}x{b.cols} matrix by a {c.rows}x{c.cols} matrix")
+    a._same_semifield(c.sf)
+    b._require_factor(c.sf, c.rows, c.cols)
     sf, n, m = c.sf, c.rows, a.rows
     rows = _star(c, a.data if b is a else a.data + b.data)
     closure = Matrix._wrap(sf, rows[:n])

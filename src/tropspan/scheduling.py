@@ -101,9 +101,8 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     vector, so the families of one row share a schedule: the rows'
     vectors come from `report.bounds`, and equal ones collapse by value,
     before the shift, to the first.  Each distinct vector is checked by
-    one `contains_all` and shifted once, with the messages of `Matrix`
-    and `Matrix.scale` but no `Matrix` built for a vector of carrier
-    elements other than 𝟘.  `_latest_columns` forms each product once.
+    one `contains_all`, with the messages of `Matrix` and `Matrix.scale`,
+    shifted once and multiplied as a column by `_latest_columns`.
     """
     if not report.pairs:
         raise ValueError("the report contains no solution families")
@@ -130,16 +129,18 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
 
 def _latest_columns(sf: Semifield, vectors: list[tuple], closure: Matrix | None,
                     start_finish: Matrix | None) -> list[tuple]:
-    """The distinct `(x_j, y_j)` columns of the shifted bounds `vectors`,
-    in order, `y_j` None without `start_finish`.
+    """The distinct `(x_j, y_j)` columns of the checked, collapsed and
+    shifted bounds `vectors`, in order, `y_j` None without `start_finish`.
 
-    The vectors are the columns of one n×d matrix X, so `closure @ X`
-    and `start_finish @ X` are each formed once.  The caller owns the
-    vectors: it has checked, collapsed and shifted them.
+    `Semifield.product` takes the vectors as the columns of X and forms
+    x = closure ⊗ X and start_finish ⊗ x once each, after the checks of `@`.
     """
-    x = Matrix._wrap(sf, tuple(zip(*vectors)))
+    xs, ys = vectors, repeat(None)
     if closure is not None:
-        x = closure @ x
-    y = start_finish @ x if start_finish is not None else None
+        closure._require_factor(sf, len(xs[0]), len(xs))
+        xs = list(zip(*sf.product(closure.data, xs)))
+    if start_finish is not None:
+        start_finish._require_factor(sf, len(xs[0]), len(xs))
+        ys = zip(*sf.product(start_finish.data, xs))
     # a dict keeps the first of equal keys: the first family's schedule
-    return list(dict.fromkeys(zip(zip(*x.data), repeat(None) if y is None else zip(*y.data))))
+    return list(dict.fromkeys(zip(xs, ys)))

@@ -90,7 +90,7 @@ Max-plus and min-plus are exact on ints: max, min and + of ints are
 ints.  A float sum rounds where it needs more than 53 bits, and
 max-times rounds even on ints, since 1/x is a float
 (`max_times.inv(3)` is 0.3333333333333333).  Exact arithmetic on
-`Fraction` inputs is ROADMAP item 1.  Equality everywhere is plain
+`Fraction` inputs is ROADMAP item 15.  Equality everywhere is plain
 ``==`` with no tolerance.
 """
 

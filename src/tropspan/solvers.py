@@ -47,9 +47,6 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-_set = object.__setattr__
-
-
 class BoxFamily(_Frozen):
     """One box of solutions: x is a member iff
 
@@ -66,11 +63,11 @@ class BoxFamily(_Frozen):
         upper_bounds = tuple(upper_bounds)   # a tuple itself, so rows stay shared
         if not 0 <= pinned_index < len(upper_bounds):
             raise ValueError("pinned_index must address a component")
-        if upper_bounds[pinned_index] == sf.zero:   # sf.is_zero, inlined
+        if sf.is_zero(upper_bounds[pinned_index]):
             raise ValueError("the pinned value must exceed the semifield zero")
-        _set(self, "sf", sf)
-        _set(self, "pinned_index", pinned_index)
-        _set(self, "upper_bounds", upper_bounds)
+        object.__setattr__(self, "sf", sf)
+        object.__setattr__(self, "pinned_index", pinned_index)
+        object.__setattr__(self, "upper_bounds", upper_bounds)
 
     @property
     def pinned_value(self) -> Scalar:

@@ -10,7 +10,7 @@ from tropspan import (INSTANCES, InvariantViolation, Matrix, NotIrreducible,
                       NotSquare, Schedule, ShapeMismatch, SolutionReport,
                       TrConditionViolated, latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
-                      max_plus)
+                      max_plus, max_times)
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, is_irreducible,
                      mp, potential_start_start, random_feasible_constraint,
                      random_zero_free, raw_satisfies_constraint, raw_span, rng_matrix,
@@ -314,22 +314,29 @@ def test_all_tied_families_collapse_to_one_schedule():
     assert sched.initiation == col([0] * 40)
 
 
+def _product_left_operands(monkeypatch):
+    """A list that each later `max_plus.product` call appends its rows
+    operand to."""
+    rows_seen = []
+    product = type(max_plus).product
+
+    def counted(self, rows, cols):
+        rows_seen.append(rows)
+        return product(self, rows, cols)
+
+    monkeypatch.setattr(type(max_plus), "product", counted)
+    return rows_seen
+
+
 def test_latest_schedule_takes_equal_rows_once(monkeypatch):
     # rows 0 and 1 hold equal vectors in distinct tuples, ints and floats:
     # they collapse by value to the first row's one schedule
     report = SolutionReport(max_plus, 2, ((0, 0), (1, 0), (2, 0), (0, 1)),
                             ((0, (0, 1, 2)), (1, (0.0, 1.0, 2.0))))
     closure = mp([[0, -1, -2], [-1, 0, -1], [-2, -1, 0]])
-    products = []
-    matmul = Matrix.__matmul__
-
-    def counted(self, other):
-        products.append(1)
-        return matmul(self, other)
-
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    products = _product_left_operands(monkeypatch)
     sched, = latest_schedule(report, closure, alpha=1)
-    assert len(products) == 1
+    assert len(products) == 1 and products[0] is closure.data
     assert [(v, type(v)) for v in sched.initiation.entries()] == [(1, int), (2, int), (3, int)]
 
 
@@ -352,19 +359,12 @@ def test_latest_schedule_makes_one_product_per_matrix(monkeypatch):
     a = mp(rows)
     report, closure = max_completion_spread_constrained(a, mp([[-v for v in r] for r in rows]))
     assert len({fam.upper_bounds for fam in report.families}) == 3
-    products = []
-    matmul = Matrix.__matmul__
-
-    def counted(self, other):
-        products.append(self)
-        return matmul(self, other)
-
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    products = _product_left_operands(monkeypatch)
     schedules = latest_schedule(report, closure, a, alpha=2)
     assert len(schedules) == 3
     # the distinct vectors are the columns of one matrix, multiplied once by each
     assert len(products) == 2
-    assert products[0] is closure and products[1] is a
+    assert products[0] is closure.data and products[1] is a.data
 
 
 # ----------------------------------------------------------------------
@@ -431,4 +431,25 @@ def test_latest_schedule_rejects_degenerate_arguments():
     with pytest.raises(ValueError, match="^entry at row 2, column 1 is not a "
                                          "max-plus carrier element: inf$"):
         latest_schedule(infinite)
+
+
+_MT3 = Matrix(max_times, [[1, 1, 1]] * 3)
+
+
+@pytest.mark.parametrize("closure, start_finish, error, message", [
+    (None, mp([[0, 1], [1, 0], [0, 0]]), ShapeMismatch,
+     "cannot multiply a 3x2 matrix by a 3x1 matrix"),
+    (mp([[0, 0], [0, 0]]), None, ShapeMismatch, "cannot multiply a 2x2 matrix by a 3x1 matrix"),
+    (mp([[0, 0, 0]] * 4), mp([[0, 0, 0]] * 3), ShapeMismatch,
+     "cannot multiply a 3x3 matrix by a 4x1 matrix"),
+    (_MT3, None, ValueError, "operands belong to different semifields"),
+    (None, _MT3, ValueError, "operands belong to different semifields"),
+], ids=["start-finish-shape", "closure-shape", "shape-after-closure",
+        "closure-semifield", "start-finish-semifield"])
+def test_latest_schedule_refuses_operands_as_matmul_does(closure, start_finish, error, message):
+    # the columns go to `Semifield.product` directly, which would stop at
+    # the shorter operand: the checks and messages of `@` still apply
+    report = max_completion_spread(mp(START_FINISH))
+    with pytest.raises(error, match=f"^{message}$"):
+        latest_schedule(report, closure, start_finish)
 
