@@ -24,10 +24,10 @@ The same call takes tail rows and returns tail ⊗ C* with the closure,
 formed once the pivots have closed C, so a refusal costs no tail work.
 `solve_constrained` forms A ⊗ C* so, in place of a product.  Packed,
 each tail row accumulates t_k ⊗ (row k of C*) in the fields of the
-closure's rows; a tail with a float, or with ints too wide for 64-bit
-fields, takes `Semifield.product` while C's pivots stay packed.
-`semiring` states the gates and why no field overflows.  `_star` makes
-the call for both callers and words the refusal.
+closure's rows.  One gate covers C and the tail together: a float in
+either, or ints too wide for 64-bit fields, sends the whole call to the
+generic loop.  `semiring` states the gate and why no field overflows.
+`_star` makes the call for both callers and words the refusal.
 """
 
 from __future__ import annotations

@@ -110,8 +110,15 @@ class SolutionReport(_Frozen):
 
     @property
     def families(self) -> tuple[BoxFamily, ...]:
+        return tuple(BoxFamily(self.sf, k, bounds) for k, bounds in self._pair_bounds())
+
+    def _pair_bounds(self):
+        """(k, bounds of row s) per pair (k, s); refuses a row with no bounds."""
         rows = dict(self.bounds)
-        return tuple(BoxFamily(self.sf, k, rows[s]) for k, s in self.pairs)
+        for k, s in self.pairs:
+            if s not in rows:
+                raise ValueError(f"pair ({k}, {s}) has no bounds for its row {s}")
+            yield k, rows[s]
 
 
 class ConstrainedReport(namedtuple("ConstrainedReport", "report closure")):

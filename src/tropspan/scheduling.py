@@ -23,7 +23,7 @@ from .matvec import Matrix, asterate, ones
 from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
                         solve_constrained, solve_norm_form)
 from .semiring import Scalar, Semifield
-from .solvers import _Frozen
+from .solvers import _Frozen, _require_pinned
 
 
 class Schedule(_Frozen):
@@ -97,12 +97,13 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     produce identical schedules are collapsed; distinct ones are all
     returned, in family order.
 
-    Alpha is checked once.  A family's largest member is its bounds
-    vector, so the families of one row share a schedule: the rows'
-    vectors come from `report.bounds`, and equal ones collapse by value,
-    before the shift, to the first.  Each distinct vector is checked by
-    one `contains_all`, with the messages of `Matrix` and `Matrix.scale`,
-    shifted once and multiplied as a column by `_latest_columns`.
+    Alpha is checked once, and each pair as `report.families` checks it.  A
+    family's largest member is its bounds vector, so the families of one row
+    share a schedule: the rows' vectors come from `report.bounds`, and equal
+    ones collapse by value, before the shift, to the first.  Each distinct
+    vector is checked by one `contains_all`, with the messages of `Matrix`
+    and `Matrix.scale`, shifted once and multiplied as a column by
+    `_latest_columns`.
     """
     if not report.pairs:
         raise ValueError("the report contains no solution families")
@@ -112,6 +113,8 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
         raise ValueError("alpha must exceed the semifield zero")
     if not sf.contains(alpha):
         raise ValueError(f"{alpha!r} is not a {sf.name} carrier element")
+    for k, bounds in report._pair_bounds():
+        _require_pinned(sf, k, bounds)
     mul, zero = sf.mul, sf.zero
     vectors = []
     # a dict keeps the first of equal keys, in first-seen order

@@ -55,36 +55,36 @@ Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
 byte processing with full-word instructions, CACM 18(8), 1975), so a
 row update is a dozen int operations on whole rows in place of a loop
-over entries.  With M = max|entry| over C, and over the tail too when
-it holds ints only, field j holds c_ij + b with b = 2n·M + 1, or 0 for
-𝟘, and w is the narrowest of 8, 16, 32 and 64 bits that holds 2b below
-a guard bit.  The sum c_ik + c_kj is a carry-free add of row k to
-copies of c_ik; the guard bits of a subtraction mark the fields where
-c_ij stays, and a mask selects them.  The pivots run on C's rows alone,
-in the generic loop's order, so values, refusals and pivots are the
-same, and a refusal leaves before any work on the tail.  After the
-I ⊕ step each tail row t accumulates t ⊗ C* over the packed rows of
-C*: acc ← acc ⊕ t_k ⊗ (row k), the same update with t_k read from the
-tail, for each t_k ≠ 𝟘 in order of k.  That is the generic default's
-order, the closure and then `product`, so ties fall alike; it forms the
-substituted matrix A ⊗ C* of the constrained problem (Butkovič,
-Max-linear Systems, 2010, §1.6).  A term is skipped where acc_k ≥ t_k
-already: acc_k is t_l ⊗ c*_lk for an earlier l, and C* ⊗ C* = C* with
-c*_kk = 𝟙, so t_k ⊗ c*_kj ≤ t_l ⊗ c*_lk ⊗ c*_kj ≤ t_l ⊗ c*_lj ≤ acc_j
-for every j, and the update would keep every field.  On the
-`constrained-closure` benchmark pools about 1 term in 6 is left to
-update.  No field overflows: before pivot k every cycle on the nodes
-below k weighs at most 𝟙, so an entry of C's rows is the weight of a
-simple path (at most (n-1)·M in size) or cycle (n·M), and every sum
-formed is at most 2n·M < b in size; a tail sum t_k + c*_kj is at most
-n·M.  The CLI enforces 2n·M within the float
-range, with M over both of its matrices.  A float anywhere in C takes
-the generic loop, which keeps the left operand of an int/float tie, and
-so do ints in C too large for 64-bit fields (4n·M + 2 ≥ 2**63), where
-whole-row operations cost more than the loop: about 10 times as much at
-n = 160 with ints near the CLI's bound.  A tail that holds a float, or
-ints that would widen the fields past 64 bits, leaves C's pivots packed
-and takes `product` with the closure's columns.
+over entries.  One scan of the finite entries of C and the tail makes
+the int test and finds M = max|entry|; field j holds c_ij + b with
+b = 2n·M + 1, or 0 for 𝟘, and w is the narrowest of 8, 16, 32 and 64
+bits that holds 2b below a guard bit.  The sum c_ik + c_kj is a
+carry-free add of row k to copies of c_ik; the guard bits of a
+subtraction mark the fields where c_ij stays, and a mask selects them.
+The pivots run on C's rows alone, in the generic loop's order, so
+values, refusals and pivots are the same, and a refusal leaves before
+any work on the tail.  The I ⊕ step sets the packed diagonal fields
+once; C*'s rows are unpacked from them, and each tail row t
+accumulates t ⊗ C* over them: acc ← acc ⊕ t_k ⊗ (row k), the pivots'
+update with t_k read from the tail, for each t_k ≠ 𝟘 in order of k.
+That is the generic default's order, the closure and then `product`,
+so ties fall alike; it forms the substituted matrix A ⊗ C* of the
+constrained problem (Butkovič, Max-linear Systems, 2010, §1.6).  A
+term is skipped where acc_k ≥ t_k already: acc_k is t_l ⊗ c*_lk for an
+earlier l, and C* ⊗ C* = C* with c*_kk = 𝟙, so t_k ⊗ c*_kj ≤
+t_l ⊗ c*_lk ⊗ c*_kj ≤ t_l ⊗ c*_lj ≤ acc_j for every j, and the update
+would keep every field.  On the `constrained-closure` benchmark pools
+about 1 term in 6 is left to update.  No field overflows: before pivot
+k every cycle on the nodes below k weighs at most 𝟙, so an entry of
+C's rows is the weight of a simple path (at most (n-1)·M in size) or
+cycle (n·M), and every sum formed is at most 2n·M < b in size; a tail
+sum t_k + c*_kj is at most n·M.  The CLI enforces 2n·M within the
+float range, with M over both of its matrices.  A float anywhere in C
+or the tail sends the whole call to the generic loop, which keeps the
+left operand of an int/float tie, and so do ints too large for 64-bit
+fields (4n·M + 2 ≥ 2**63), where whole-row operations cost more than
+the loop (about 10 times as much at n = 160 with ints near the CLI's
+bound); so does an int C with such a tail, at the loop's speed.
 
 Max-plus and min-plus are exact on ints: max, min and + of ints are
 ints.  A float sum rounds where it needs more than 53 bits, and
@@ -238,7 +238,7 @@ class _MaxPlus(Semifield):
             raise InversionOfZero("the max-plus zero (-inf) has no inverse")
         return -a
 
-    # max returns the first of equal maxima, and a >= t keeps a on a tie
+    # max returns the first of equal maxima: the earlier term wins a tie
     def dot(self, r, c):
         return max(map(operator.add, r, c))
 
@@ -280,28 +280,16 @@ class _MaxPlus(Semifield):
         return super().contains_all(values)
 
     def star(self, rows, tail=()):
-        # packed rows: the module docstring states the encoding, its gates
+        # packed rows: the module docstring states the encoding, its gate
         # and why no field overflows
         zero, one = self.zero, self.one
         n = len(rows)
-        finite = [v for r in rows for v in r if v != zero]
+        finite = [v for r in chain(rows, tail) for v in r if v != zero]
         if not set(map(type, finite)) <= {int}:
             return super().star(rows, tail)
-        tail_finite = [v for r in tail for v in r if v != zero]
-        top = max(map(abs, finite), default=0)
-
-        def width(top):
-            # the bias b and the narrowest field that holds 2b with a guard bit above it
-            b = 2 * n * top + 1
-            return b, next((s for s in _FIELD_CODES if 8 * s > (2 * b).bit_length()), None)
-
-        # an int tail shares the fields; a float tail, or one too wide for
-        # 64-bit fields, is left to `product` after the pivots
-        packs_tail = set(map(type, tail_finite)) <= {int}
-        b, size = width(max(top, max(map(abs, tail_finite), default=0)) if packs_tail else top)
-        if size is None and packs_tail:
-            packs_tail = False
-            b, size = width(top)
+        # the bias b and the narrowest field that holds 2b with a guard bit above it
+        b = 2 * n * max(map(abs, finite), default=0) + 1
+        size = next((s for s in _FIELD_CODES if 8 * s > (2 * b).bit_length()), None)
         if size is None:
             return super().star(rows, tail)
         code, order = _FIELD_CODES[size], sys.byteorder
@@ -311,7 +299,7 @@ class _MaxPlus(Semifield):
 
         def unpack(ci):
             fields = memoryview(ci.to_bytes(size * n, order)).cast(code)
-            return [f - b if f else zero for f in fields]
+            return tuple([f - b if f else zero for f in fields])
 
         w = 8 * size
         g = w - 1                              # the guard bit's place in a field
@@ -319,6 +307,13 @@ class _MaxPlus(Semifield):
         ones = pack([1] * n)
         guards = ones << g
         biases = b * ones
+
+        def masks(ck):
+            # row k's c_kj, 𝟘 read as 0 so that no field borrows, and its finite fields' value bits
+            real = ((ck | guards) - ones) & guards   # the guard bits of the finite fields
+            real -= real >> g                        # ... turned into their value bits
+            return (ck | biases & ~real) - biases, real
+
         c = [pack([v + b if v != zero else 0 for v in r]) for r in rows]
         for k in range(n):
             ck = c[k]
@@ -326,35 +321,24 @@ class _MaxPlus(Semifield):
             ckk = ck >> at & field
             if ckk > b:
                 raise TrConditionViolated(k, ckk - b)
-            real = ((ck | guards) - ones) & guards   # the guard bits of row k's finite fields
-            real -= real >> g                        # ... turned into their value bits
-            # c_kj, with 𝟘 read as 0 so that no field borrows from the next
-            base = (ck | biases & ~real) - biases
+            base, real = masks(ck)
             for i, ci in enumerate(c):
                 cik = ci >> at & field
                 if cik and i != k:
                     t = (base + cik * ones) & real           # the fields c_ik ⊗ c_kj
                     keep = ((ci | guards) - t) & guards      # guard bits where c_ij ≥ t_j
                     c[i] = t ^ ((t ^ ci) & (keep - (keep >> g)))
-        out = []
-        for i, ci in enumerate(c):
-            row = unpack(ci)
-            row[i] = one   # I ⊕: no cycle is heavier than 𝟙 once every pivot passed
-            out.append(tuple(row))
+        for k, ck in enumerate(c):
+            # I ⊕: the field of 𝟙 at k, as no cycle is heavier than 𝟙 once every pivot passed
+            c[k] = ck + ((b + one - (ck >> w * k & field)) << w * k)
+        closure = tuple(map(unpack, c))
         if not tail:
-            return tuple(out)
-        if not packs_tail:
-            return tuple(out) + self.product(tail, tuple(zip(*out)))
+            return closure
         # each tail row t is the ⊕ over k of t_k ⊗ (row k of C*), accumulated
         # in packed fields by the pivots' update; a term with acc_k ≥ t_k
         # cannot raise acc, as the module docstring shows
-        by_row = []
-        for k, ck in enumerate(c):
-            at = w * k
-            ck += (b + one - (ck >> at & field)) << at   # row k of C*: the field of 𝟙 at k
-            real = ((ck | guards) - ones) & guards       # the masks of a pivot on row k
-            real -= real >> g
-            by_row.append((at, (ck | biases & ~real) - biases, real))
+        by_row = [(w * k, *masks(ck)) for k, ck in enumerate(c)]
+        out = []
         for r in tail:
             acc = 0
             for tk, (at, base, real) in zip(r, by_row):
@@ -362,8 +346,8 @@ class _MaxPlus(Semifield):
                     t = (base + (tk + b) * ones) & real      # the fields t_k ⊗ c*_kj
                     keep = ((acc | guards) - t) & guards     # guard bits where acc_j ≥ t_j
                     acc = t ^ ((t ^ acc) & (keep - (keep >> g)))
-            out.append(tuple(unpack(acc)))
-        return tuple(out)
+            out.append(unpack(acc))
+        return closure + tuple(out)
 
 
 class _MinPlus(Semifield):

@@ -61,10 +61,7 @@ class BoxFamily(_Frozen):
 
     def __init__(self, sf: Semifield, pinned_index: int, upper_bounds: Sequence[Scalar]):
         upper_bounds = tuple(upper_bounds)   # a tuple itself, so rows stay shared
-        if not 0 <= pinned_index < len(upper_bounds):
-            raise ValueError("pinned_index must address a component")
-        if sf.is_zero(upper_bounds[pinned_index]):
-            raise ValueError("the pinned value must exceed the semifield zero")
+        _require_pinned(sf, pinned_index, upper_bounds)
         object.__setattr__(self, "sf", sf)
         object.__setattr__(self, "pinned_index", pinned_index)
         object.__setattr__(self, "upper_bounds", upper_bounds)
@@ -95,6 +92,14 @@ class BoxFamily(_Frozen):
     def max_member(self) -> Matrix:
         """The componentwise-largest member, as a column vector."""
         return Matrix.column(self.sf, self.upper_bounds)
+
+
+def _require_pinned(sf: Semifield, pinned_index: int, upper_bounds: tuple) -> None:
+    """`BoxFamily`'s refusals: a pinned index out of range, a pinned value 𝟘."""
+    if not 0 <= pinned_index < len(upper_bounds):
+        raise ValueError("pinned_index must address a component")
+    if sf.is_zero(upper_bounds[pinned_index]):
+        raise ValueError("the pinned value must exceed the semifield zero")
 
 
 def _vector_entries(x: Matrix | Sequence[Scalar], dim: int) -> tuple[Scalar, ...]:

@@ -111,6 +111,10 @@ def test_report_families_are_built_from_pairs_and_row_bounds():
     bad = SolutionReport(max_plus, 0, ((0, 0),), ((0, (float("-inf"), 0)),))
     with pytest.raises(ValueError, match="^the pinned value must exceed the semifield zero$"):
         bad.families
+    # as is a pair whose row has no bounds
+    rowless = SolutionReport(max_plus, 0, ((0, 0), (0, 1)), ((0, row0),))
+    with pytest.raises(ValueError, match=r"^pair \(0, 1\) has no bounds for its row 1$"):
+        rowless.families
 
 
 B_ZERO_COLUMN = Matrix(max_plus, [[0, None], [0, None]])

@@ -431,6 +431,13 @@ def test_latest_schedule_rejects_degenerate_arguments():
     with pytest.raises(ValueError, match="^entry at row 2, column 1 is not a "
                                          "max-plus carrier element: inf$"):
         latest_schedule(infinite)
+    # each pair is refused as `report.families` refuses it
+    zero_pinned = SolutionReport(max_plus, 0, ((0, 0),), ((0, (float("-inf"), 0)),))
+    with pytest.raises(ValueError, match="^the pinned value must exceed the semifield zero$"):
+        latest_schedule(zero_pinned)
+    rowless = SolutionReport(max_plus, 0, ((0, 0), (0, 1)), ((0, (0, 0)),))
+    with pytest.raises(ValueError, match=r"^pair \(0, 1\) has no bounds for its row 1$"):
+        latest_schedule(rowless)
 
 
 _MT3 = Matrix(max_times, [[1, 1, 1]] * 3)

@@ -149,7 +149,7 @@ def closure_then_product(rows, tail):
 
 def tail_rows(n):
     # int tails share the packed fields; float and mixed ones, and ints too
-    # wide for 64-bit fields, leave tail ⊗ C* to `product`
+    # wide for 64-bit fields, send the whole call to the generic loop
     wide = st.one_of(st.integers(-4, 4), st.just(NEG_INF),
                      st.integers(2 ** 61, 2 ** 70), st.integers(-2 ** 70, -2 ** 61))
     return st.one_of(int_rows(n, 0, 4),
@@ -158,8 +158,8 @@ def tail_rows(n):
 
 
 @given(case=st.integers(1, 6).flatmap(lambda n: st.tuples(int_rows(n, n, n), tail_rows(n))))
-# a float in the tail leaves tail ⊗ C* to `product`, where the int/float tie
-# keeps the earlier term: 2.0**60 + 0 over (2**60 - 3) + 3
+# a float in the tail sends the call to the generic loop, whose `product`
+# keeps the earlier term of the int/float tie: 2.0**60 + 0 over (2**60 - 3) + 3
 @example(case=([[0, NEG_INF], [3, 0]], [[2.0 ** 60, 2 ** 60 - 3], [NEG_INF, 1]]))
 # C fits 8-bit fields, the tail with it needs more than 64 bits
 @example(case=([[0, -1], [-1, 0]], [[2 ** 62, NEG_INF], [1, -2 ** 62]]))
@@ -179,16 +179,27 @@ def test_max_plus_star_refuses_before_any_tail_row():
     """The pivots run on C's rows alone, so a refusal leaves before the
     packed accumulate of the tail.  A feasible C then runs it, once per
     term t_k ⊗ (row k of C*) but for 𝟘 and dominated terms: in row
-    (9, 1) the first term already gives column 1 its 9 + 1 ≥ 1."""
+    (9, 1) the first term already gives column 1 its 9 + 1 ≥ 1.  One
+    gate covers C and the tail together: a float in the tail, or tail
+    ints too wide for 64-bit fields, send the narrow int C to the
+    generic loop as well, and no pivot runs packed."""
     tail = [[5, NEG_INF], [2, 7], [9, 1]]
     with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
         with pytest.raises(TrConditionViolated) as refusal:
             max_plus.star([[0, 1], [0, 0]], tail)
     assert refusal.value.args == (1, 1)
     assert accumulates["runs"] == 0
+    c = [[0, 1], [-1, 0]]
     with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
-        assert max_plus.star([[0, 1], [-1, 0]], tail)[2:] == ((5, 6), (6, 7), (9, 10))
+        assert max_plus.star(c, tail)[2:] == ((5, 6), (6, 7), (9, 10))
     assert accumulates["runs"] == 4
+    with counted_line(type(max_plus).star, "ckk = ck >>") as pivots:
+        max_plus.star(c, tail)
+    assert pivots["runs"] == 2
+    for generic in ([[5, NEG_INF], [2, 7.5]], [[2 ** 62, NEG_INF], [1, -2 ** 62]]):
+        with counted_line(type(max_plus).star, "ckk = ck >>") as pivots:
+            assert max_plus.star(c, generic) == closure_then_product(c, generic)
+        assert pivots["runs"] == 0, generic
 
 
 def test_counted_line_refuses_to_nest():
