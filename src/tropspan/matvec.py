@@ -254,7 +254,7 @@ class Matrix:
 
 def _conjugate(sf: Semifield, rows: tuple) -> tuple[tuple[Scalar, ...], ...]:
     """Row j is column j of `rows` with each entry inverted by `sf.inv`:
-    the one inverse pass, of `Matrix.conj` and `solve_unconstrained`."""
+    the conjugate transpose of `Matrix.conj`, and q⁻ in `solve_unconstrained`."""
     inv = sf.inv
     return tuple(tuple(map(inv, col)) for col in zip(*rows))
 

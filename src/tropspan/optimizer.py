@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, repeat
-from operator import eq, itemgetter
+from operator import eq
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
 from .matvec import Matrix, _conjugate, _star, ones
@@ -143,36 +143,33 @@ def evaluate_objective(inst: ProblemInstance, x: Matrix) -> Scalar:
 def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     """Maximize the objective over all regular vectors.
 
-    delta = q⁻ ⊗ B ⊗ A⁻ ⊗ p = ⊕ᵢ (q⁻ ⊗ bᵢ) ⊗ (aᵢ⁻ ⊗ p), the sum
+    delta = q⁻ ⊗ B ⊗ A⁻ ⊗ p = ⊕ⱼ (q⁻ ⊗ bⱼ) ⊗ (aⱼ⁻ ⊗ p), the sum
     running over columns.  Every column k attaining delta yields
     maximizers: pin x[k] = aₖ⁻ ⊗ p and, for every row s attaining
-    aₖ⁻ ⊗ p = ⊕ᵢ aᵢₖ⁻¹ ⊗ pᵢ, bound x[j] ≤ aₛⱼ⁻¹ ⊗ pₛ.  All tied k and
-    s are enumerated, one family per pair.  The bounds depend only on
-    s, so each row's are computed once: the report's `bounds`.
+    aₖ⁻ ⊗ p = ⊕ₛ aₛₖ⁻¹ ⊗ pₛ, bound x[j] ≤ aₛⱼ⁻¹ ⊗ pₛ.  All tied k and
+    s are enumerated, one family per pair.  Each number is read off one
+    m×n matrix W, wₛⱼ = aₛⱼ⁻¹ ⊗ pₛ, formed once: aⱼ⁻ ⊗ p is the ⊕ of
+    column j, the rows tied in column k hold that ⊕, and row s of W
+    is row s's bounds, the report's `bounds`.
     """
     sf = inst.sf
-    mul, dot = sf.mul, sf.dot
-    p = inst.p.entries()
-    n, m = inst.n, inst.m
-
+    mul, inv = sf.mul, sf.inv
     q_inv, = _conjugate(sf, inst.q.data)                           # q⁻
-    a_inv = _conjugate(sf, inst.A.data)                            # row j is a_j⁻
-    col_left = [dot(q_inv, col) for col in zip(*inst.B.data)]      # q⁻ ⊗ b_j
-    col_right = [dot(col, p) for col in a_inv]                     # a_j⁻ ⊗ p
+    w = [tuple(map(mul, map(inv, row), repeat(p_s)))               # row s: a_s⁻¹ ⊗ p_s
+         for row, p_s in zip(inst.A.data, inst.p.entries())]
+    w_cols = list(zip(*w))
+    col_left = [sf.dot(q_inv, col) for col in zip(*inst.B.data)]   # q⁻ ⊗ b_j
+    col_right = list(map(sf.sum, w_cols))                          # a_j⁻ ⊗ p
     terms = list(map(mul, col_left, col_right))
     delta = sf.sum(terms)
 
     pairs: list[tuple[int, int]] = []
-    row_bounds: dict[int, tuple[Scalar, ...]] = {}
-    for k in range(n):
-        if terms[k] != delta:
-            continue
+    for k in compress(range(len(terms)), map(eq, terms, repeat(delta))):
         # the rows s attaining a_k⁻ ⊗ p
-        ties = list(compress(range(m), map(eq, map(mul, a_inv[k], p), repeat(col_right[k]))))
-        row_bounds.update((s, tuple(map(mul, map(itemgetter(s), a_inv), repeat(p[s]))))
-                          for s in ties if s not in row_bounds)
-        pairs += zip(repeat(k), ties)
-    return SolutionReport(sf, delta, tuple(pairs), tuple(row_bounds.items()))
+        pairs += zip(repeat(k), compress(range(len(w)), map(eq, w_cols[k], repeat(col_right[k]))))
+    # each optimal row once, in order of first appearance
+    rows = dict.fromkeys(s for _, s in pairs)
+    return SolutionReport(sf, delta, tuple(pairs), tuple((s, w[s]) for s in rows))
 
 
 def solve_norm_form(a: Matrix, b: Matrix) -> SolutionReport:

@@ -22,8 +22,11 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
-Besides the scalar operations, every semifield has four vector
-operations, the inner loops of matrix products, closures and checks:
+Each instance's ⊗ is the builtin `operator.add` (`operator.mul` in
+max-times); ⊕ stays a method, `a if b <= a else b` or its min, half
+the cost per call of a two-argument builtin `max`.  Besides `sum`, the
+⊕ of a sequence, every semifield has four vector operations, the inner
+loops of matrix products, closures and checks:
 
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
     product(rows, cols)   the rows of the matrix of every dot(r, c)
@@ -31,25 +34,27 @@ operations, the inner loops of matrix products, closures and checks:
     star(rows, tail)      the rows of the star closure C* of a square
                           matrix C, then those of tail ⊗ C*
 
-Their generic default is a plain loop over `add`, `mul`, `dot` or
+The generic `sum` and `dot` are one `functools.reduce` fold over `add`
+from 𝟘, `product` one `dot` per entry, `contains_all` a loop over
 `contains`; `star` is one Floyd–Warshall pass of row updates
 c_ij ⊕ c_ik ⊗ c_kj, a loop over `add` and `mul`, which raises
 `TrConditionViolated` with the arguments (k, weight) at the first
 pivot k whose closed walk outweighs 𝟙, followed by the `product` of
-the tail rows and the closure's columns.  `max_plus` overrides all four,
-which gives the same values.  Two run on builtins: `dot` is `max` over
-`operator.add`, for any number type, and `contains_all` the range
-check on a list of ints; anything else takes the generic loop.  Its
-`product` writes max(r) + max(c) without a scan wherever r and c
-attain their maxima at a common index, when both operands hold only
-ints, the right one has at least three columns, and the argmax entries
-are many: with R rows, C columns and inner dimension n,
-(row argmaxes)·(column argmaxes) ≥ 4n(R + C), the point where the
-masks' cost meets the dots they save; other entries, and other
-operands, take one `dot` each.  In `dot`, as in the generic loop's
-`add(a, …)`, the left operand wins a tie: the earlier term of a dot
-product, and c_ij over c_ik ⊗ c_kj.  Ties matter: an int and an equal
-float (2**60 and 2.0**60) compare equal but print differently.
+the tail rows and the closure's columns.  `max_plus` overrides all
+five, which gives the same values.  Three run on builtins: `sum` is
+`max`, `dot` `max` over `operator.add`, for any number type, and
+`contains_all` the range check on a list of ints; anything else takes
+the generic loop.  Its `product` writes max(r) + max(c) without a scan
+wherever r and c attain their maxima at a common index, when both
+operands hold only ints, the right one has at least three columns, and
+the argmax entries are many: with R rows, C columns and inner
+dimension n, (row argmaxes)·(column argmaxes) ≥ 4n(R + C), the point
+where the masks' cost meets the dots they save; other entries, and
+other operands, take one `dot` each.  In `sum` and `dot`, as in the
+fold's `add(acc, …)`, the left operand wins a tie: `max` keeps the
+earlier of equal terms; in `star`, c_ij wins over c_ik ⊗ c_kj.  Ties
+matter: an int and an equal float (2**60 and 2.0**60) compare equal
+but print differently.
 
 Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
@@ -101,6 +106,7 @@ import operator
 import sys
 from array import array
 from collections.abc import Iterable, Sequence
+from functools import reduce
 from itertools import chain, repeat
 
 from .errors import InversionOfZero, TrConditionViolated
@@ -163,18 +169,11 @@ class Semifield:
         return self.zero if a == self.zero else a
 
     def sum(self, values: Iterable[Scalar]) -> Scalar:
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
+        return reduce(self.add, values, self.zero)
 
     def dot(self, r: Sequence[Scalar], c: Sequence[Scalar]) -> Scalar:
         """⊕ of the products rⱼ ⊗ cⱼ of two nonempty vectors of one length."""
-        add, mul = self.add, self.mul
-        acc = self.zero
-        for a, b in zip(r, c):
-            acc = add(acc, mul(a, b))
-        return acc
+        return reduce(self.add, map(self.mul, r, c), self.zero)
 
     def product(self, rows: Sequence[Sequence[Scalar]],
                 cols: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
@@ -230,15 +229,17 @@ class _MaxPlus(Semifield):
     def add(self, a, b):
         return a if b <= a else b
 
-    def mul(self, a, b):
-        return a + b
+    mul = staticmethod(operator.add)
 
     def inv(self, a):
         if a == self.zero:
             raise InversionOfZero("the max-plus zero (-inf) has no inverse")
         return -a
 
-    # max returns the first of equal maxima: the earlier term wins a tie
+    # max keeps the first of equal maxima: the earlier term wins a tie, as in the fold
+    def sum(self, values):
+        return max(values, default=self.zero)
+
     def dot(self, r, c):
         return max(map(operator.add, r, c))
 
@@ -358,8 +359,7 @@ class _MinPlus(Semifield):
     def add(self, a, b):
         return a if a <= b else b
 
-    def mul(self, a, b):
-        return a + b
+    mul = staticmethod(operator.add)
 
     def inv(self, a):
         if a == self.zero:
@@ -378,8 +378,7 @@ class _MaxTimes(Semifield):
     def add(self, a, b):
         return a if b <= a else b
 
-    def mul(self, a, b):
-        return a * b
+    mul = staticmethod(operator.mul)
 
     def inv(self, a):
         if a == self.zero:

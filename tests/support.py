@@ -283,8 +283,10 @@ class _GenericMaxPlus(_MaxPlus):
     """Max-plus with the generic loops of `Semifield` in place of its kernels."""
 
     name = "generic max-plus"
+    sum = Semifield.sum
     dot = Semifield.dot
     product = Semifield.product
+    contains_all = Semifield.contains_all
     star = Semifield.star
 
 

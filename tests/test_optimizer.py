@@ -147,8 +147,8 @@ def test_families_of_one_row_share_one_bounds_tuple():
     with counted_products() as counts:
         report = solve_norm_form(a, a)
     assert len(report.families) == n * n
-    # 3n² + n products find delta and the tied pairs, n² more the n rows' bounds
-    assert 0 < counts["mul"] <= 5 * n * n
+    # each bound once: n² products for W, n² for the n dots q⁻ ⊗ b_j, n for the terms
+    assert counts["mul"] == 2 * n * n + n
     by_row = {}
     for (k, s), fam in zip(report.pairs, report.families):
         assert fam.upper_bounds is by_row.setdefault(s, fam.upper_bounds)

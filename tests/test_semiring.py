@@ -113,6 +113,16 @@ def test_max_plus_dot_matches_the_generic_loop(vectors):
     assert typed([max_plus.dot(r, c)]) == typed([Semifield.dot(max_plus, r, c)])
 
 
+@given(values=st.lists(kernel_entries(), max_size=8))
+@example(values=[])
+@example(values=[NEG_INF, NEG_INF])
+@example(values=[BIG, float(BIG)])
+@example(values=[float(BIG), 1, BIG])
+def test_max_plus_sum_matches_the_generic_fold(values):
+    # the first of equal maxima is kept, as by the fold from the zero
+    assert typed([max_plus.sum(values)]) == typed([Semifield.sum(max_plus, values)])
+
+
 def star_or_refusal(star, rows):
     """The typed rows of star(rows), or the typed (k, weight) of its refusal."""
     try:
@@ -352,4 +362,4 @@ def test_sum_folds_with_zero_start(sf, data):
     acc = sf.zero
     for v in values:
         acc = sf.add(acc, v)
-    assert sf.sum(values) == acc
+    assert typed([sf.sum(values)]) == typed([acc])
