@@ -61,6 +61,23 @@ def _number(text: str):
     return value
 
 
+# Every subcommand's options, defined once.  `parents=` does not copy
+# them: every subparser of every parser built holds these same four
+# `Action` objects.  That is safe because an action holds no parse state
+# (parsed values go to the namespace); each build reassigns only
+# `action.container`, which argparse reads only under
+# `conflict_handler="resolve"`, so do not set that handler.  The full
+# parser is still built per call: caching it waits for the benchmark's
+# compact samples (ROADMAP item 2).
+_OPTIONS = _Parser(add_help=False)
+_OPTIONS.add_argument("--input", required=True, help="path to the project json file")
+_OPTIONS.add_argument("--alpha", type=_number, default=0,
+                      help="shift applied to the reported solutions (default 0)")
+_OPTIONS.add_argument("--latest", action="store_true",
+                      help="also emit the latest schedule of every family")
+_OPTIONS.add_argument("--format", choices=("json", "text"), default="json")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tropspan",
                      description="maximize schedule time spans under precedence constraints")
@@ -68,13 +85,7 @@ def _build_parser() -> _Parser:
     for name, text in (("sf", "span of completion times under start-finish constraints"),
                        ("ss", "span of initiation times under start-start constraints"),
                        ("combined", "span of completion times under both constraint kinds")):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--input", required=True, help="path to the project json file")
-        cmd.add_argument("--alpha", type=_number, default=0,
-                         help="shift applied to the reported solutions (default 0)")
-        cmd.add_argument("--latest", action="store_true",
-                         help="also emit the latest schedule of every family")
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
+        sub.add_parser(name, help=text, parents=[_OPTIONS])
     return parser
 
 

@@ -8,8 +8,9 @@ max-plus instance on the generic vector loops with a ⊗ counter for
 `max_plus` and a line counter for code that makes no countable call,
 raw max/+ evaluators that give the tests an arithmetic path independent
 of the package's semifield operations, the inverse of the CLI's file
-parser, the parser's former row-by-row matrix check, and a runner for
-subprocesses that import the package from src/.
+parser, the parser's former row-by-row matrix check, the CLI's former
+argument parser, and a runner for subprocesses that import the package
+from src/.
 """
 
 import contextlib
@@ -440,6 +441,28 @@ def parse_matrix_by_rows(raw: dict, key: str, n: int, path: str,
         if top > largest:
             largest = top
     return Matrix._wrap(max_plus, tuple(map(tuple, rows))), largest
+
+
+def build_parser_by_subcommand():
+    """`cli._build_parser` as it defined the options: three `add_parser`
+    calls, each followed by four `add_argument` calls.  A reference for
+    the options shared through `parents=`, by namespace, help and error."""
+    from tropspan.cli import _number, _Parser
+
+    parser = _Parser(prog="tropspan",
+                     description="maximize schedule time spans under precedence constraints")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text in (("sf", "span of completion times under start-finish constraints"),
+                       ("ss", "span of initiation times under start-start constraints"),
+                       ("combined", "span of completion times under both constraint kinds")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--input", required=True, help="path to the project json file")
+        cmd.add_argument("--alpha", type=_number, default=0,
+                         help="shift applied to the reported solutions (default 0)")
+        cmd.add_argument("--latest", action="store_true",
+                         help="also emit the latest schedule of every family")
+        cmd.add_argument("--format", choices=("json", "text"), default="json")
+    return parser
 
 
 def run_python(*args, text=True, timeout=None):

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import random
 import sys
@@ -10,11 +12,12 @@ import pytest
 from tropspan import (BoxFamily, InvariantViolation, InversionOfZero, Matrix, NotIrreducible,
                       NotRegular, NotSquare, ShapeMismatch, SolutionReport, TrConditionViolated,
                       TropicalError, ZeroEntry, latest_schedule, max_plus)
-from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _dispatch,
-                          _render, _render_status, main)
+from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _build_parser,
+                          _dispatch, _ParseFailure, _render, _render_status, main)
 from oracles import document, status_document, text
-from support import (counted_products, dump_project, parse_matrix_by_rows,
-                     potential_start_start, random_feasible_constraint, run_python)
+from support import (build_parser_by_subcommand, counted_products, dump_project,
+                     parse_matrix_by_rows, potential_start_start, random_feasible_constraint,
+                     run_python)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -214,6 +217,65 @@ def test_missing_file_and_bad_usage_exit_4(capsys):
     for alpha in (JUST_BEYOND_FLOAT, "-inf"):
         assert main(["sf", "--input", str(DATA / "ex1.json"), f"--alpha={alpha}"]) == EXIT_PARSE
         assert "alpha must be finite" in capsys.readouterr().err
+
+
+# help at both levels, unknown commands, options before the command, missing,
+# bad and out-of-range values, abbreviations, = forms and extra arguments
+PARSE_ARGVS = [
+    [], ["-h"], ["--help"], ["-h", "sf"], ["sf", "-h"], ["ss", "--help"], ["combined", "-h"],
+    ["sf", "--input", "p.json", "-h"], ["unknown"], ["SF"], ["s"], ["-x"], ["sf", "ss"],
+    ["--input", "p.json", "sf"], ["--latest", "sf", "--input", "p.json"],
+    ["sf"], ["ss", "--latest"], ["combined", "--alpha", "1"], ["sf", "--input"],
+    ["sf", "--input", "--latest"], ["sf", "--input", "p.json"], ["ss", "--input", "p.json"],
+    ["combined", "--input", "p.json"], ["sf", "--input", "p.json", "--latest"],
+    ["sf", "--input", "p.json", "--format", "text"], ["sf", "--input", "p.json", "--format", "json"],
+    ["sf", "--input", "p.json", "--format", "xml"], ["sf", "--input", "p.json", "--format", "JSON"],
+    ["sf", "--input", "p.json", "--format"], *[
+        ["sf", "--input", "p.json", "--alpha", alpha]
+        for alpha in ("2", "-3", "2.5", "2.0", "-0.0", "1e3", "1_000", "abc", "inf", "nan",
+                      BEYOND_FLOAT, JUST_BEYOND_FLOAT)],
+    ["sf", "--input", "p.json", "--alpha=-inf"], ["sf", "--input", "p.json", "--alpha"],
+    ["sf", "--input=p.json", "--alpha=7", "--format=text"], ["ss", "--inp", "p.json", "--lat"],
+    ["combined", "--in", "p.json", "--al", "3", "--f", "text"], ["sf", "--input", "p.json", "extra"],
+    ["sf", "--input", "p.json", "--unknown"], ["sf", "--input", "p.json", "--latest=1"],
+    ["sf", "--input", "a.json", "--input", "b.json"], ["sf", "--input", "p.json", "--latest", "--latest"],
+    ["sf", "--", "--input", "p.json"], ["sf", "--input", ""], ["sf", "--input", "p.json", "-x"],
+    ["combined", "--input", "p.json", "--latest", "--alpha", "-2", "--format", "text"],
+]
+
+
+def parse_outcome(parser, argv):
+    """The parsed namespace, the exit code and stdout of a help request, or
+    the refusal's message."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "parsed", repr(vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    except _ParseFailure as exc:
+        return "refused", str(exc)
+
+
+def test_shared_options_parse_as_options_defined_per_subcommand():
+    outcomes = [parse_outcome(_build_parser(), argv) for argv in PARSE_ARGVS]
+    assert outcomes == [parse_outcome(build_parser_by_subcommand(), argv)
+                        for argv in PARSE_ARGVS]
+    assert len(PARSE_ARGVS) == 55
+    assert {kind: sum(o[0] == kind for o in outcomes) for kind in ("parsed", "exit")} == {
+        "parsed": 20, "exit": 7}
+
+
+def test_each_run_parses_its_own_arguments(capsys):
+    plain = ["sf", "--input", str(DATA / "ex1.json")]
+    assert main(plain) == EXIT_OK
+    alone = capsys.readouterr().out
+    # the arguments of the tied text golden, then the plain run again
+    assert main([*GOLDEN_RUNS[3][1], "--format", "text"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "tied.txt").read_text()
+    assert main(plain) == EXIT_OK
+    assert capsys.readouterr().out == alone
+    assert json.loads(alone)["schedules"] == []
 
 
 BIG_LAG = str(-10 ** 308)   # in the float range, but a path of three such lags is not
