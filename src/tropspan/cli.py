@@ -22,10 +22,10 @@ import sys
 from itertools import chain, repeat
 
 from .errors import InvariantViolation, TrConditionViolated, TropicalError
-from .matvec import Matrix, _fmt
+from .matvec import Matrix
 from .scheduling import (_latest_columns, max_completion_spread,
                          max_completion_spread_constrained, max_initiation_spread)
-from .semiring import max_plus
+from .semiring import _fmt, max_plus
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all tropspan modules.
 
 Row and column positions quoted in messages follow the mathematical
-convention and count from 1.
+convention and count from 1.  `TrConditionViolated` is raised only by
+the closure kernels of `semiring`, worded and carrying its pivot and weight.
 """
 
 
@@ -35,7 +36,13 @@ class NotIrreducible(TropicalError):
 
 class TrConditionViolated(TropicalError):
     """The constraint matrix has a cycle heavier than 𝟙, so C ⊗ x ≤ x
-    has no regular solution."""
+    has no regular solution: the closed walk through pivot `k`, zero
+    based, weighs `weight`.  Both are None on a refusal raised with a
+    message alone, as the test suite's reference oracles raise it."""
+
+    def __init__(self, message: str, k: int | None = None, weight: float | None = None):
+        super().__init__(message)
+        self.k, self.weight = k, weight
 
 
 class InvariantViolation(TropicalError):

@@ -27,15 +27,15 @@ each tail row accumulates t_k ⊗ (row k of C*) in the fields of the
 closure's rows.  One gate covers C and the tail together: a float in
 either, or ints too wide for 64-bit fields, sends the whole call to the
 generic loop.  `semiring` states the gate and why no field overflows.
-`_star` makes the call for both callers and words the refusal.
+`asterate` and `solve_constrained` call `Semifield.star`, which words the refusal.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import NotSquare, ShapeMismatch, TrConditionViolated, ZeroEntry
-from .semiring import Scalar, Semifield
+from .errors import NotSquare, ShapeMismatch, ZeroEntry
+from .semiring import Scalar, Semifield, _fmt
 
 
 class Matrix:
@@ -259,12 +259,6 @@ def _conjugate(sf: Semifield, rows: tuple) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(map(inv, col)) for col in zip(*rows))
 
 
-def _fmt(v: Scalar) -> str:
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return str(v)
-
-
 # ----------------------------------------------------------------------
 # vectors and whole-matrix operations
 
@@ -288,24 +282,10 @@ def asterate(a: Matrix) -> Matrix:
     One Floyd–Warshall pass (Butkovič, Max-linear Systems, 2010, §1.6),
     made by `Semifield.star`.  Pivot k sees every cycle whose highest
     node is k on the diagonal, so a cycle heavier than 𝟙, where the
-    series has no finite value, raises `TrConditionViolated` naming k and
-    the weight of its closed walk.  Otherwise the result is I ⊕ a⁺, equal
-    to the series because a heaviest walk need not repeat a node.
+    series has no finite value, raises the kernel's `TrConditionViolated`,
+    carrying k and its closed walk's weight.  Otherwise the result is
+    I ⊕ a⁺, equal to the series because a heaviest walk need not repeat a node.
     """
     if a.rows != a.cols:
         raise NotSquare("the asterate is defined for square matrices")
-    return Matrix._wrap(a.sf, _star(a))
-
-
-def _star(a: Matrix,
-          tail: tuple[tuple[Scalar, ...], ...] = ()) -> tuple[tuple[Scalar, ...], ...]:
-    """`Semifield.star` of the square `a` and the `tail` rows, whose
-    refusal names the pivot, 1-based, and the weight of its closed walk."""
-    sf = a.sf
-    try:
-        return sf.star(a.data, tail)
-    except TrConditionViolated as exc:
-        k, weight = exc.args
-        raise TrConditionViolated(
-            f"the closed walk through index {k + 1} has weight "
-            f"{_fmt(weight)}, which exceeds the unit {_fmt(sf.one)}") from None
+    return Matrix._wrap(a.sf, a.sf.star(a.data))

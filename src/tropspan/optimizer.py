@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from operator import eq
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
-from .matvec import Matrix, _conjugate, _star, ones
+from .matvec import Matrix, _conjugate, ones
 from .semiring import Scalar, Semifield
 from .solvers import BoxFamily, _Frozen
 
@@ -205,7 +205,7 @@ def solve_constrained(a: Matrix, b: Matrix, p: Matrix, q: Matrix,
     a._same_semifield(c.sf)
     b._require_factor(c.sf, c.rows, c.cols)
     sf, n, m = c.sf, c.rows, a.rows
-    rows = _star(c, a.data if b is a else a.data + b.data)
+    rows = sf.star(c.data, a.data if b is a else a.data + b.data)
     closure = Matrix._wrap(sf, rows[:n])
     ac = Matrix._wrap(sf, rows[n:n + m])
     bc = ac if b is a else Matrix._wrap(sf, rows[n + m:])

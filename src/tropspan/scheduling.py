@@ -20,8 +20,7 @@ from itertools import repeat
 
 from .errors import InvariantViolation, NotIrreducible, NotSquare
 from .matvec import Matrix, asterate, ones
-from .optimizer import (ConstrainedReport, SolutionReport, require_zero_free,
-                        solve_constrained, solve_norm_form)
+from .optimizer import ConstrainedReport, SolutionReport, solve_constrained, solve_norm_form
 from .semiring import Scalar, Semifield
 from .solvers import _Frozen, _require_pinned
 
@@ -42,9 +41,8 @@ def max_completion_spread(a: Matrix) -> SolutionReport:
     """Maximize the span of completion times y = A ⊗ x.
 
     The report's families describe the initiation vectors x directly;
-    the optimum equals ‖A ⊗ A⁻‖.
+    the optimum equals ‖A ⊗ A⁻‖.  `ProblemInstance` refuses a 𝟘 in A.
     """
-    require_zero_free(a, "start-finish matrix")
     return solve_norm_form(a, a)
 
 

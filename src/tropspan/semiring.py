@@ -12,9 +12,10 @@ designates one number as 𝟘 and one as the unit 𝟙.
 
 The number that would complete the order at the top (+inf in
 max-plus) is not a carrier element: matrices reject it on
-construction, and inverting 𝟘 raises `InversionOfZero` rather than
-producing it.  The CLI admits an input number by `max_plus.contains`,
-less the zero -inf.
+construction, inverting 𝟘 raises `InversionOfZero` rather than
+producing it, and `max_times.inv` refuses by `ValueError` a float
+whose inverse overflows, such as a subnormal.  The CLI admits an input
+number by `max_plus.contains`, less the zero -inf.
 
 Shipped instances:
 
@@ -38,8 +39,8 @@ The generic `sum` and `dot` are one `functools.reduce` fold over `add`
 from 𝟘, `product` one `dot` per entry, `contains_all` a loop over
 `contains`; `star` is one Floyd–Warshall pass of row updates
 c_ij ⊕ c_ik ⊗ c_kj, a loop over `add` and `mul`, which raises
-`TrConditionViolated` with the arguments (k, weight) at the first
-pivot k whose closed walk outweighs 𝟙, followed by the `product` of
+`_infeasible`'s `TrConditionViolated`, carrying `k` and `weight`, at
+the first pivot k whose closed walk outweighs 𝟙, then the `product` of
 the tail rows and the closure's columns.  `max_plus` overrides all
 five, which gives the same values.  Three run on builtins: `sum` is
 `max`, `dot` `max` over `operator.add`, for any number type, and
@@ -124,6 +125,17 @@ def _is_number(a: object) -> bool:
             and -sys.float_info.max <= a <= sys.float_info.max)
 
 
+def _fmt(v: Scalar) -> str:
+    """The one rule for writing a number: an integral float as an int."""
+    return str(int(v)) if isinstance(v, float) and v.is_integer() else str(v)
+
+
+def _infeasible(k: int, weight: Scalar, one: Scalar) -> TrConditionViolated:
+    """The refusal of pivot k, whose closed walk weighs more than 𝟙."""
+    return TrConditionViolated(f"the closed walk through index {k + 1} has weight "
+                               f"{_fmt(weight)}, which exceeds the unit {_fmt(one)}", k, weight)
+
+
 def _argmax_mask(v: Sequence[Scalar], top: Scalar) -> int:
     """The indices l with v[l] == top, as the bits 8·l of an int."""
     return int.from_bytes(bytes(map(operator.eq, v, repeat(top))), "little")
@@ -192,16 +204,16 @@ class Semifield:
 
         One Floyd–Warshall pass of row updates c_ij ⊕ c_ik ⊗ c_kj over
         `add` and `mul`, then `product` of the n-column `tail` rows and
-        the closure's columns.  Raises `TrConditionViolated` with the
-        arguments (k, weight) at the first pivot k whose closed walk
-        weighs more than 𝟙, before any work on the tail.  An override
-        keeps this order, so that its ties fall alike.
+        the closure's columns.  Raises `_infeasible`'s refusal at the
+        first pivot k whose closed walk weighs more than 𝟙, before any
+        work on the tail.  An override keeps this order, so that its
+        ties fall alike.
         """
         add, mul, zero, one = self.add, self.mul, self.zero, self.one
         c = [list(r) for r in rows]
         for k, ck in enumerate(c):
             if not self.leq(ck[k], one):
-                raise TrConditionViolated(k, ck[k])
+                raise _infeasible(k, ck[k], one)
             for i, ci in enumerate(c):
                 cik = ci[k]
                 # row k cannot grow, as c[k][k] ≤ 𝟙; 𝟘 ⊗ anything is 𝟘,
@@ -321,7 +333,7 @@ class _MaxPlus(Semifield):
             at = w * k
             ckk = ck >> at & field
             if ckk > b:
-                raise TrConditionViolated(k, ckk - b)
+                raise _infeasible(k, ckk - b, one)
             base, real = masks(ck)
             for i, ci in enumerate(c):
                 cik = ci >> at & field
@@ -383,7 +395,10 @@ class _MaxTimes(Semifield):
     def inv(self, a):
         if a == self.zero:
             raise InversionOfZero("the max-times zero (0) has no inverse")
-        return 1 / a
+        inverse = 1 / a
+        if inverse == math.inf:
+            raise ValueError(f"the max-times inverse of {a!r} overflows the float range")
+        return inverse
 
     def contains(self, a):
         return _is_number(a) and 0 <= a < math.inf

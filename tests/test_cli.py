@@ -53,6 +53,7 @@ def test_golden_outputs_are_byte_identical(name, args):
     proc = run_cli(args)
     assert proc.returncode == EXIT_OK
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text()
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("name,args", GOLDEN_RUNS)
@@ -66,15 +67,17 @@ def test_repeated_runs_are_deterministic(name, args, capsys):
 @pytest.mark.parametrize("name,args", TEXT_GOLDEN_RUNS)
 def test_text_goldens_are_byte_identical(name, args, capsys):
     assert main(args) == EXIT_OK
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.txt").read_text(), "")
 
 
 @pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("text", "txt")])
 @pytest.mark.parametrize("name,code,args", STATUS_RUNS,
                          ids=[f"{name}-{code}" for name, code, _ in STATUS_RUNS])
 def test_status_goldens_are_byte_identical(name, code, args, fmt, suffix, capsys):
+    # the refusal's line on stderr is the same in both formats
     assert main([*args, "--format", fmt]) == code
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.{suffix}").read_text()
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.{suffix}").read_text(),
+                                   (GOLDEN / f"{name}.err").read_text())
 
 
 def test_infeasible_project_exits_2():

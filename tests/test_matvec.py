@@ -409,12 +409,12 @@ _PACKS = {"widest fields": True, "near the bound": False}
 
 
 def _typed_kernel(star, rows):
-    """The typed rows of star(rows), or the typed (k, weight) of its refusal,
-    from which `asterate` writes its message."""
+    """The typed rows of star(rows), or the text and the typed (k, weight)
+    of its refusal."""
     try:
         return _typed(Matrix._wrap(max_plus, star(rows)))
     except TrConditionViolated as exc:
-        return tuple((v, type(v)) for v in exc.args)
+        return str(exc), tuple((v, type(v)) for v in (exc.k, exc.weight))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 14, 28, 64, 160])

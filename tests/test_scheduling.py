@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -8,9 +10,9 @@ import pytest
 
 from tropspan import (INSTANCES, InvariantViolation, Matrix, NotIrreducible,
                       NotSquare, Schedule, ShapeMismatch, SolutionReport,
-                      TrConditionViolated, latest_schedule, max_completion_spread,
+                      TrConditionViolated, asterate, latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
-                      max_plus, max_times)
+                      max_plus, max_times, min_plus, ones, solve_constrained)
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, is_irreducible,
                      mp, potential_start_start, random_feasible_constraint,
                      random_zero_free, raw_satisfies_constraint, raw_span, rng_matrix,
@@ -37,7 +39,9 @@ def test_completion_spread_single_activity():
 
 
 def test_completion_spread_rejects_zero_entries():
-    with pytest.raises(InvariantViolation, match="start-finish"):
+    # refused by `ProblemInstance`, which `solve_norm_form` builds on A
+    with pytest.raises(InvariantViolation, match="^matrix A must have no zero entries; "
+                                                 "entry at row 1, column 2 is zero$"):
         max_completion_spread(mp([[1, None], [0, 2]]))
 
 
@@ -99,6 +103,40 @@ def test_initiation_spread_error_cases():
     with pytest.raises(NotIrreducible):
         max_initiation_spread(mp([[None]]))
     assert max_initiation_spread(mp([[-1]])).report.delta == 0
+
+
+# C ⊗ x ≤ x with a closed walk through index 2 heavier than 𝟙, per
+# semifield: the text of its weight and unit, and its weight, typed
+INFEASIBLE = [
+    pytest.param(max_plus, [[0, 1], [0, 0]], "1", "0", 1, id="max-plus-packed"),
+    pytest.param(max_plus, [[0, 1.0], [0, 0]], "1", "0", 1.0, id="max-plus-loop"),
+    pytest.param(min_plus, [[0, -1], [0, 0]], "-1", "0", -1, id="min-plus"),
+    pytest.param(max_times, [[1, 2], [1, 1]], "2", "1", 2, id="max-times"),
+]
+
+
+@pytest.mark.parametrize("sf, c, weight_text, unit_text, weight", INFEASIBLE)
+def test_every_caller_raises_the_kernels_refusal(sf, c, weight_text, unit_text, weight):
+    """One refusal: the closure kernel words it and keeps its pivot and
+    weight, and every caller passes it on as it is, through a pickle
+    round trip and a deep copy too.  The int C packs its rows; the float
+    sends max-plus to the generic loop."""
+    c = Matrix(sf, c)
+    unit = ones(sf, 2)
+    a = Matrix(sf, [[sf.one] * 2] * 2)
+    calls = [lambda: sf.star(c.data), lambda: asterate(c),
+             lambda: solve_constrained(a, a, unit, unit, c),
+             lambda: max_initiation_spread(c),
+             lambda: max_completion_spread_constrained(a, c)]
+    text = (f"the closed walk through index 2 has weight {weight_text}, "
+            f"which exceeds the unit {unit_text}")
+    for call in calls:
+        with pytest.raises(TrConditionViolated) as refusal:
+            call()
+        for exc in (refusal.value, pickle.loads(pickle.dumps(refusal.value)),
+                    copy.deepcopy(refusal.value)):
+            assert (str(exc), exc.k, exc.weight, type(exc.weight)) == (text, 1, weight,
+                                                                       type(weight))
 
 
 def _random_constraint(rng, sf):

@@ -4,8 +4,8 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tropspan import (INSTANCES, InversionOfZero, Semifield, TrConditionViolated, max_plus,
-                      max_times, min_plus)
+from tropspan import (INSTANCES, InversionOfZero, Matrix, Semifield, TrConditionViolated,
+                      max_plus, max_times, min_plus)
 from support import counted_line
 
 NEG_INF = float("-inf")
@@ -66,6 +66,17 @@ def test_other_instances_pinned():
         max_times.inv(0)
 
 
+def test_max_times_inv_refuses_an_inverse_beyond_the_float_range():
+    """1/x of a subnormal x rounds to inf, which is no carrier element;
+    the smallest normal float still has a finite inverse."""
+    with pytest.raises(ValueError, match="^the max-times inverse of 5e-324 overflows"):
+        max_times.inv(5e-324)
+    with pytest.raises(ValueError, match="^the max-times inverse of 5e-324 overflows"):
+        Matrix(max_times, [[5e-324, 1.0]]).conj()
+    inverse = max_times.inv(sys.float_info.min)
+    assert max_times.contains(inverse) and inverse < math.inf
+
+
 def test_carrier_membership():
     assert max_plus.contains(NEG_INF)
     assert not max_plus.contains(math.inf)
@@ -124,11 +135,11 @@ def test_max_plus_sum_matches_the_generic_fold(values):
 
 
 def star_or_refusal(star, rows):
-    """The typed rows of star(rows), or the typed (k, weight) of its refusal."""
+    """The typed rows of star(rows), or the text and the typed (k, weight) of its refusal."""
     try:
         return [typed(r) for r in star(rows)]
     except TrConditionViolated as exc:
-        return typed(exc.args)
+        return str(exc), typed([exc.k, exc.weight])
 
 
 def int_rows(n, min_size, max_size):
@@ -197,7 +208,7 @@ def test_max_plus_star_refuses_before_any_tail_row():
     with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
         with pytest.raises(TrConditionViolated) as refusal:
             max_plus.star([[0, 1], [0, 0]], tail)
-    assert refusal.value.args == (1, 1)
+    assert (refusal.value.k, refusal.value.weight) == (1, 1)
     assert accumulates["runs"] == 0
     c = [[0, 1], [-1, 0]]
     with counted_line(type(max_plus).star, "acc = t ^") as accumulates:
