@@ -232,9 +232,9 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     The writer owns the shifted bounds.  `report.bounds` holds each
     row's vector once, so each is shifted by alpha and turned into
     texts once, keyed by its row s, and the pairs are walked with no
-    `BoxFamily` built.  Under `--latest`, `_latest_columns` takes the
-    shifted vector of the first of each set of equal rows; an x_j equal
-    to one reuses its texts, since `_fmt` gives equal values equal
+    `BoxFamily` built.  Under `--latest`, `_latest_columns` applies its
+    rule to those shifted vectors; a schedule whose x_j equals a row's
+    reuses that row's texts, since `_fmt` gives equal values equal
     texts.  The 1-based index texts and the heads of a family and of a
     pair for each index are built once: a family is then four list
     items and a pair one concatenation, with no template fill.
@@ -242,17 +242,10 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     mul = max_plus.mul
     shifted = {s: tuple(map(mul, repeat(alpha), bounds)) for s, bounds in report.bounds}
     texts = {s: _texts(member) for s, member in shifted.items()}
-    schedules = []
-    if latest:
-        # equal rows collapse before the shift, as in `latest_schedule` (a
-        # shift can round an int and an equal float apart), to the first
-        firsts = {}
-        for s, bounds in report.bounds:
-            firsts.setdefault(bounds, s)
-        # each x_j with the row whose shifted texts it can reuse, or None
-        known = {shifted[s]: s for s in firsts.values()}
-        schedules = [(x, y, known.get(x)) for x, y in _latest_columns(
-            max_plus, [shifted[s] for s in firsts.values()], closure, completion_matrix)]
+    # under --latest, each schedule's initiation and completion texts
+    schedules = [(_texts(x) if s is None else texts[s], None if y is None else _texts(y))
+                 for x, y, s in _latest_columns(max_plus, report.bounds, lambda s, _: shifted[s],
+                                                closure, completion_matrix)] if latest else []
     # every index a report holds is below n: its problem is n×n
     n = len(report.bounds[0][1]) if report.bounds else 0
     labels = list(map(str, range(1, n + 1)))
@@ -272,11 +265,9 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
         pair_heads = ['{\n      "k": ' + label + ',\n      "s": ' for label in labels]
         pair_tails = [label + "\n    }" for label in labels]
         pairs = [pair_heads[k] + pair_tails[s] for k, s in report.pairs]
-        entries = [_SCHEDULE % (_list_text(_texts(x), "      ") if s is None else lists[s],
-                                "" if y is None else
-                                f'\n      "completion": {_list_text(_texts(y), "      ")},',
-                                delta)
-                   for x, y, s in schedules]
+        entries = [_SCHEDULE % (_list_text(x, "      "), "" if y is None else
+                                f'\n      "completion": {_list_text(y, "      ")},', delta)
+                   for x, y in schedules]
         return _DOCUMENT % (delta, _list_text(pairs, "  "), families, _list_text(entries, "  "))
     var = "u" if closure is not None else "x"
     # each row's "x_j <= b_j" parts once; a family swaps in "=" at its pinned index
@@ -288,10 +279,10 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
         row = parts[s]
         pinned = f"{var}{labels[k]} = {texts[s][k]}"
         lines.append(heads[k] + labels[s] + ": " + ", ".join([*row[:k], pinned, *row[k + 1:]]))
-    for x, y, s in schedules:
-        piece = f"schedule: initiation = ({', '.join(_texts(x) if s is None else texts[s])})"
+    for x, y in schedules:
+        piece = f"schedule: initiation = ({', '.join(x)})"
         if y is not None:
-            piece += f", completion = ({', '.join(_texts(y))})"
+            piece += f", completion = ({', '.join(y)})"
         lines.append(piece + f", span = {delta}")
     return "\n".join(lines) + "\n"
 

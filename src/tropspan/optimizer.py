@@ -13,7 +13,8 @@ maximizers is a finite union of scale-invariant boxes, one for every
 index pair (k, s) attaining the two inner maxima below.  The objective
 is invariant under x ↦ α ⊗ x, so each box stands for its whole ray of
 scalings; families are reported at α = 𝟙.  The records below are
-immutable `__slots__` classes, like `BoxFamily`.
+immutable `__slots__` classes, like `BoxFamily`, but for
+`ConstrainedReport`, a `namedtuple` of a report and its closure.
 """
 
 from __future__ import annotations

@@ -93,15 +93,11 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     `closure` when the report lives in a generator variable, and
     attaches completions when `start_finish` is given.  Families that
     produce identical schedules are collapsed; distinct ones are all
-    returned, in family order.
+    returned, in family order, by the rule of `_latest_columns`.
 
-    Alpha is checked once, and each pair as `report.families` checks it.  A
-    family's largest member is its bounds vector, so the families of one row
-    share a schedule: the rows' vectors come from `report.bounds`, and equal
-    ones collapse by value, before the shift, to the first.  Each distinct
-    vector is checked by one `contains_all`, with the messages of `Matrix`
-    and `Matrix.scale`, shifted once and multiplied as a column by
-    `_latest_columns`.
+    Alpha is checked once, and each pair as `report.families` checks it.
+    Each vector `_latest_columns` shifts is checked by one `contains_all`,
+    with the messages of `Matrix` and `Matrix.scale`.
     """
     if not report.pairs:
         raise ValueError("the report contains no solution families")
@@ -114,29 +110,42 @@ def latest_schedule(report: SolutionReport, closure: Matrix | None = None,
     for k, bounds in report._pair_bounds():
         _require_pinned(sf, k, bounds)
     mul, zero = sf.mul, sf.zero
-    vectors = []
-    # a dict keeps the first of equal keys, in first-seen order
-    for bounds in dict.fromkeys(bounds for _, bounds in report.bounds):
+
+    def shift(s, bounds):
         if zero in bounds or not sf.contains_all(bounds):
             # as in `BoxFamily.max_member`, the constructor canonicalises 𝟘
             # or raises its own message
             bounds = Matrix.column(sf, bounds).entries()
-        vectors.append(tuple(map(mul, repeat(alpha), bounds)))
+        return tuple(map(mul, repeat(alpha), bounds))
+
     # zip of one iterable yields the 1-tuples of a column's rows
-    return [Schedule(Matrix._wrap(sf, tuple(zip(xj))),
-                     None if yj is None else Matrix._wrap(sf, tuple(zip(yj))), report.delta)
-            for xj, yj in _latest_columns(sf, vectors, closure, start_finish)]
+    return [Schedule(Matrix._wrap(sf, tuple(zip(x))),
+                     None if y is None else Matrix._wrap(sf, tuple(zip(y))), report.delta)
+            for x, y, _ in _latest_columns(sf, report.bounds, shift, closure, start_finish)]
 
 
-def _latest_columns(sf: Semifield, vectors: list[tuple], closure: Matrix | None,
+def _latest_columns(sf: Semifield, rows, shift, closure: Matrix | None,
                     start_finish: Matrix | None) -> list[tuple]:
-    """The distinct `(x_j, y_j)` columns of the checked, collapsed and
-    shifted bounds `vectors`, in order, `y_j` None without `start_finish`.
+    """The distinct `(x, y, s)` schedules of a report's `(s, vector)` rows,
+    in order: the one home of the `--latest` rule.
 
-    `Semifield.product` takes the vectors as the columns of X and forms
-    x = closure ⊗ X and start_finish ⊗ x once each, after the checks of `@`.
+    A family's latest schedule is its box's largest member, its row's
+    vector, so the families of one row share one.  Equal vectors collapse
+    by value to the first row before `shift(s, vector)`, called once per
+    distinct row in first-seen order (a shift can round an int and an
+    equal float apart).  `Semifield.product` takes the shifted vectors as
+    the columns of X and forms x = closure ⊗ X and y = start_finish ⊗ x
+    once each, after the checks of `@`; without them x is X, y None.  The
+    first of equal `(x, y)` is kept; s names a row whose shifted vector
+    equals x, or is None.
     """
-    xs, ys = vectors, repeat(None)
+    firsts = {}
+    for s, vector in rows:
+        firsts.setdefault(vector, s)
+    # a dict's keys are the first of equal keys: each row's own tuple
+    shifted = list(map(shift, firsts.values(), firsts))
+    known = dict(zip(shifted, firsts.values()))
+    xs, ys = shifted, repeat(None)
     if closure is not None:
         closure._require_factor(sf, len(xs[0]), len(xs))
         xs = list(zip(*sf.product(closure.data, xs)))
@@ -144,4 +153,4 @@ def _latest_columns(sf: Semifield, vectors: list[tuple], closure: Matrix | None,
         start_finish._require_factor(sf, len(xs[0]), len(xs))
         ys = zip(*sf.product(start_finish.data, xs))
     # a dict keeps the first of equal keys: the first family's schedule
-    return list(dict.fromkeys(zip(xs, ys)))
+    return [(x, y, known.get(x)) for x, y in dict.fromkeys(zip(xs, ys))]

@@ -14,8 +14,10 @@ The number that would complete the order at the top (+inf in
 max-plus) is not a carrier element: matrices reject it on
 construction, inverting 𝟘 raises `InversionOfZero` rather than
 producing it, and `max_times.inv` refuses by `ValueError` a float
-whose inverse overflows, such as a subnormal.  The CLI admits an input
-number by `max_plus.contains`, less the zero -inf.
+whose inverse overflows, such as a subnormal.  So does `max_times.mul`
+a product above the largest float, or one of two nonzero factors that
+rounds to the zero 0.  The CLI admits an input number by
+`max_plus.contains`, less the zero -inf.
 
 Shipped instances:
 
@@ -23,8 +25,8 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
-Each instance's ⊗ is the builtin `operator.add` (`operator.mul` in
-max-times); ⊕ stays a method, `a if b <= a else b` or its min, half
+The max-plus and min-plus ⊗ is the builtin `operator.add`, the
+max-times ⊗ a method for its refusals; ⊕ stays a method, `a if b <= a else b` or its min, half
 the cost per call of a two-argument builtin `max`.  Besides `sum`, the
 ⊕ of a sequence, every semifield has four vector operations, the inner
 loops of matrix products, closures and checks:
@@ -96,7 +98,12 @@ Max-plus and min-plus are exact on ints: max, min and + of ints are
 ints.  A float sum rounds where it needs more than 53 bits, and
 max-times rounds even on ints, since 1/x is a float
 (`max_times.inv(3)` is 0.3333333333333333).  Exact arithmetic on
-`Fraction` inputs is ROADMAP item 15.  Equality everywhere is plain
+`Fraction` inputs is ROADMAP item 15.  No sum of ints is range checked,
+a known limit: one past the float range raises `OverflowError`, not a
+`TropicalError`, where the generic loop adds it to the float zero -inf.
+`asterate` does so on the 4-cycle whose arcs all weigh -10**308, whose
+entries are all in range; the CLI refuses that input, exit 4, by its
+check on 2n·max|entry|.  Equality everywhere is plain
 ``==`` with no tolerance.
 """
 
@@ -390,7 +397,13 @@ class _MaxTimes(Semifield):
     def add(self, a, b):
         return a if b <= a else b
 
-    mul = staticmethod(operator.mul)
+    def mul(self, a, b):
+        product = a * b
+        if product > sys.float_info.max:
+            raise ValueError(f"the max-times product of {a!r} and {b!r} overflows the float range")
+        if product == 0 and a and b:
+            raise ValueError(f"the max-times product of {a!r} and {b!r} underflows to the zero 0")
+        return product
 
     def inv(self, a):
         if a == self.zero:

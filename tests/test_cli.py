@@ -14,6 +14,7 @@ from tropspan import (BoxFamily, InvariantViolation, InversionOfZero, Matrix, No
                       TropicalError, ZeroEntry, latest_schedule, max_plus)
 from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _build_parser,
                           _dispatch, _ParseFailure, _render, _render_status, main)
+from tropspan.scheduling import _latest_columns
 from oracles import document, status_document, text
 from support import (build_parser_by_subcommand, counted_products, dump_project,
                      parse_matrix_by_rows, potential_start_start, random_feasible_constraint,
@@ -428,7 +429,17 @@ def _reports():
     yield SolutionReport(max_plus, 0, ((0, 0), (0, 1)), rows), None, None
 
 
-def test_writer_matches_the_reference_documents():
+def test_writer_matches_the_reference_documents(monkeypatch):
+    # the rows `_latest_columns` names for the writer's schedules: both the
+    # reuse of a row's texts and the s None path must be exercised
+    named = []
+
+    def spied(*args):
+        columns = _latest_columns(*args)
+        named.extend(s for _, _, s in columns)
+        return columns
+
+    monkeypatch.setattr("tropspan.cli._latest_columns", spied)
     count = 0
     for report, closure, completion in _reports():
         for alpha in (0, 7):
@@ -439,6 +450,7 @@ def test_writer_matches_the_reference_documents():
                 assert _render(*args, "text") == text(doc, closure is not None)
                 count += 1
     assert count == (3 * 25 + 8) * 4
+    assert None in named and any(s is not None for s in named)
     for status in ("infeasible", "invalid_input"):
         doc = status_document(status)
         assert _render_status(status, "json") == json.dumps(doc, indent=2) + "\n"

@@ -13,6 +13,7 @@ from tropspan import (INSTANCES, InvariantViolation, Matrix, NotIrreducible,
                       TrConditionViolated, asterate, latest_schedule, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
                       max_plus, max_times, min_plus, ones, solve_constrained)
+from tropspan.scheduling import _latest_columns
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, is_irreducible,
                      mp, potential_start_start, random_feasible_constraint,
                      random_zero_free, raw_satisfies_constraint, raw_span, rng_matrix,
@@ -403,6 +404,67 @@ def test_latest_schedule_makes_one_product_per_matrix(monkeypatch):
     # the distinct vectors are the columns of one matrix, multiplied once by each
     assert len(products) == 2
     assert products[0] is closure.data and products[1] is a.data
+
+
+def _columns(rows, closure=None, start_finish=None, alpha=0):
+    """`_latest_columns` of `rows` under a shift by alpha, and the shift's calls."""
+    calls = []
+
+    def shift(s, vector):
+        calls.append((s, vector))
+        return tuple(max_plus.mul(alpha, v) for v in vector)
+
+    return _latest_columns(max_plus, rows, shift, closure, start_finish), calls
+
+
+def test_latest_columns_shift_each_distinct_row_once_in_first_seen_order():
+    rows = ((0, (1, 2)), (1, (3, 4)), (2, (1.0, 2.0)), (3, (5, 6)), (4, (3, 4)))
+    _, calls = _columns(rows)
+    assert calls == [(0, (1, 2)), (1, (3, 4)), (3, (5, 6))]
+    # each call gets its row's own tuple, ints where the later equal row has floats
+    assert all(v is rows[s][1] for s, v in calls)
+    # an all-tied 40x40 report: 40 equal rows, one call
+    report = max_completion_spread(mp([[0] * 40 for _ in range(40)]))
+    assert len(report.bounds) == 40
+    columns, calls = _columns(report.bounds)
+    assert [s for s, _ in calls] == [0] and len(columns) == 1
+    # 10**22 == 1e22, but alpha 7 keeps only the int exact: one call, for row 0
+    columns, calls = _columns(((0, (10**22, 0)), (1, (1e22, 0))), alpha=7)
+    assert calls == [(0, (10**22, 0))] and type(calls[0][1][0]) is int
+    assert columns == [((10**22 + 7, 7), None, 0)]
+
+
+@pytest.mark.parametrize("alpha", [0, 7, 2.5])
+def test_latest_columns_name_a_row_whose_shifted_vector_is_x(alpha):
+    rng = random.Random(3)
+    runs = []
+    for n in (1, 2, 5, 12):
+        rows = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+        a, c = mp(rows), mp([[-v for v in row] for row in rows])
+        runs += [(max_completion_spread(a), None, a),
+                 (*max_initiation_spread(c), None),
+                 (*max_completion_spread_constrained(a, c), a),
+                 (max_completion_spread(a), mp([[0] * n for _ in range(n)]), a)]
+    named = 0
+    for report, closure, start_finish in runs:
+        columns, calls = _columns(report.bounds, closure, start_finish, alpha)
+        shifted = {s: tuple(max_plus.mul(alpha, v) for v in vector) for s, vector in calls}
+        for x, y, s in columns:
+            assert shifted[s] == x if s is not None else x not in shifted.values()
+            named += s is not None
+        # the schedules are those of `latest_schedule`
+        assert [(x, y) for x, y, _ in columns] == [
+            (s.initiation.entries(), None if s.completion is None else s.completion.entries())
+            for s in latest_schedule(report, closure, start_finish, alpha)]
+    assert named
+
+
+def test_latest_columns_name_no_row_where_the_closure_moves_every_vector():
+    # x = tied ⊗ u puts max(u) in every entry, and neither row is constant
+    rows = ((0, (0, -1)), (1, (-1, 0)))
+    columns, calls = _columns(rows, closure=mp([[0, 0], [0, 0]]), alpha=3)
+    assert [s for s, _ in calls] == [0, 1]
+    assert columns == [((3, 3), None, None)]
 
 
 # ----------------------------------------------------------------------

@@ -77,6 +77,24 @@ def test_max_times_inv_refuses_an_inverse_beyond_the_float_range():
     assert max_times.contains(inverse) and inverse < math.inf
 
 
+def test_max_times_mul_refuses_a_product_beyond_the_float_range():
+    """A product above the largest float (a float inf, or an int past the
+    float range) is no carrier element; a product of two nonzero factors
+    that rounds to 0 would be a 𝟘 from two nonzero factors."""
+    with pytest.raises(ValueError, match="^the max-times product of 1e\\+308 and 10 overflows"):
+        Matrix(max_times, [[1e308]]) @ Matrix(max_times, [[10]])
+    with pytest.raises(ValueError, match="^the max-times product of 10 and 1e\\+308 overflows"):
+        Matrix(max_times, [[1e308, 1.0], [1.0, 1e308]]).scale(10)
+    with pytest.raises(ValueError, match="overflows the float range$"):
+        max_times.mul(10**308, 10)
+    with pytest.raises(ValueError, match="^the max-times product of 1e-200 and 1e-200 underflows"):
+        Matrix(max_times, [[1e-200]]) @ Matrix(max_times, [[1e-200]])
+    assert max_times.mul(sys.float_info.max, 1.0) == sys.float_info.max
+    subnormal = max_times.mul(1e-200, 1e-120)
+    assert 0 < subnormal < sys.float_info.min and max_times.contains(subnormal)
+    assert max_times.mul(0, 1e308) == max_times.zero
+
+
 def test_carrier_membership():
     assert max_plus.contains(NEG_INF)
     assert not max_plus.contains(math.inf)
