@@ -201,15 +201,15 @@ class Matrix:
         return Matrix._wrap(self.sf, tuple(zip(*self.data)))
 
     def conj(self) -> "Matrix":
-        """Conjugate transpose, by `_conjugate`: the transpose with every
-        entry inverted.  Defined only for matrices without zero entries,
+        """Conjugate transpose: the transpose with every column inverted by
+        `Semifield._invs`.  Defined only for matrices without zero entries,
         since 𝟘 would need the missing top element as its inverse."""
         pos = self.first_zero()
         if pos is not None:
             raise ZeroEntry(
                 f"cannot conjugate: entry at row {pos[0] + 1}, "
                 f"column {pos[1] + 1} is the zero")
-        return Matrix._wrap(self.sf, _conjugate(self.sf, self.data))
+        return Matrix._wrap(self.sf, tuple(map(tuple, map(self.sf._invs, zip(*self.data)))))
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -250,13 +250,6 @@ class Matrix:
 
     def is_zero_free(self) -> bool:
         return self.first_zero() is None
-
-
-def _conjugate(sf: Semifield, rows: tuple) -> tuple[tuple[Scalar, ...], ...]:
-    """Row j is column j of `rows` with each entry inverted by `sf.inv`:
-    the conjugate transpose of `Matrix.conj`, and q⁻ in `solve_unconstrained`."""
-    inv = sf.inv
-    return tuple(tuple(map(inv, col)) for col in zip(*rows))
 
 
 # ----------------------------------------------------------------------

@@ -20,11 +20,11 @@ immutable `__slots__` classes, like `BoxFamily`, but for
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq
 
 from .errors import InvariantViolation, NotRegular, NotSquare, ShapeMismatch
-from .matvec import Matrix, _conjugate, ones
+from .matvec import Matrix, ones
 from .semiring import Scalar, Semifield
 from .solvers import BoxFamily, _Frozen
 
@@ -151,26 +151,28 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     s are enumerated, one family per pair.  Each number is read off one
     m×n matrix W, wₛⱼ = aₛⱼ⁻¹ ⊗ pₛ, formed once: aⱼ⁻ ⊗ p is the ⊕ of
     column j, the rows tied in column k hold that ⊕, and row s of W
-    is row s's bounds, the report's `bounds`.
+    is row s's bounds, the report's `bounds`.  Each pass takes whole rows
+    or columns (inverses by `Semifield._invs`), with no call per entry.
     """
     sf = inst.sf
-    mul, inv = sf.mul, sf.inv
-    q_inv, = _conjugate(sf, inst.q.data)                           # q⁻
-    w = [tuple(map(mul, map(inv, row), repeat(p_s)))               # row s: a_s⁻¹ ⊗ p_s
-         for row, p_s in zip(inst.A.data, inst.p.entries())]
+    mul, invs, one = sf.mul, sf._invs, sf.one
+    q_inv = tuple(invs(chain.from_iterable(inst.q.data)))                   # q⁻
+    # row s: a_s⁻ ⊗ p_s, but no ⊗ 𝟙 on an int row (its sum is an int):
+    # a float 0.0 inverts to -0.0, which ⊗ 𝟙 makes 0.0
+    w = [tuple(invs(a_s) if p_s is one and type(sum(a_s)) is int
+               else map(mul, invs(a_s), repeat(p_s)))
+         for a_s, (p_s,) in zip(inst.A.data, inst.p.data)]
     w_cols = list(zip(*w))
-    col_left = [sf.dot(q_inv, col) for col in zip(*inst.B.data)]   # q⁻ ⊗ b_j
-    col_right = list(map(sf.sum, w_cols))                          # a_j⁻ ⊗ p
+    col_left = list(map(sf.dot, repeat(q_inv), zip(*inst.B.data)))        # q⁻ ⊗ b_j
+    col_right = list(map(sf.sum, w_cols))                                   # a_j⁻ ⊗ p
     terms = list(map(mul, col_left, col_right))
     delta = sf.sum(terms)
-
-    pairs: list[tuple[int, int]] = []
-    for k in compress(range(len(terms)), map(eq, terms, repeat(delta))):
-        # the rows s attaining a_k⁻ ⊗ p
-        pairs += zip(repeat(k), compress(range(len(w)), map(eq, w_cols[k], repeat(col_right[k]))))
-    # each optimal row once, in order of first appearance
-    rows = dict.fromkeys(s for _, s in pairs)
-    return SolutionReport(sf, delta, tuple(pairs), tuple((s, w[s]) for s in rows))
+    # the columns k attaining delta, and in each the rows s attaining a_k⁻ ⊗ p
+    ks = list(compress(range(len(terms)), map(eq, terms, repeat(delta))))
+    tied = [list(compress(range(len(w)), map(eq, w_cols[k], repeat(col_right[k])))) for k in ks]
+    rows = dict.fromkeys(chain.from_iterable(tied))   # each optimal row once, by first appearance
+    return SolutionReport(sf, delta, tuple(chain.from_iterable(map(zip, map(repeat, ks), tied))),
+                          tuple(zip(rows, map(w.__getitem__, rows))))
 
 
 def solve_norm_form(a: Matrix, b: Matrix) -> SolutionReport:

@@ -28,7 +28,8 @@ Shipped instances:
 The max-plus and min-plus ⊗ is the builtin `operator.add`, the
 max-times ⊗ a method for its refusals; ⊕ stays a method, `a if b <= a else b` or its min, half
 the cost per call of a two-argument builtin `max`.  Besides `sum`, the
-⊕ of a sequence, every semifield has four vector operations, the inner
+⊕ of a sequence, and the private `_invs(v)`, the inverses of the vⱼ of a
+v that holds no 𝟘, every semifield has four vector operations, the inner
 loops of matrix products, closures and checks:
 
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
@@ -43,17 +44,20 @@ from 𝟘, `product` one `dot` per entry, `contains_all` a loop over
 c_ij ⊕ c_ik ⊗ c_kj, a loop over `add` and `mul`, which raises
 `_infeasible`'s `TrConditionViolated`, carrying `k` and `weight`, at
 the first pivot k whose closed walk outweighs 𝟙, then the `product` of
-the tail rows and the closure's columns.  `max_plus` overrides all
-five, which gives the same values.  Three run on builtins: `sum` is
-`max`, `dot` `max` over `operator.add`, for any number type, and
-`contains_all` the range check on a list of ints; anything else takes
-the generic loop.  Its `product` writes max(r) + max(c) without a scan
-wherever r and c attain their maxima at a common index, when both
-operands hold only ints, the right one has at least three columns, and
-the argmax entries are many: with R rows, C columns and inner
-dimension n, (row argmaxes)·(column argmaxes) ≥ 4n(R + C), the point
-where the masks' cost meets the dots they save; other entries, and
-other operands, take one `dot` each.  In `sum` and `dot`, as in the
+the tail rows and the closure's columns; `_invs` is `map` over `inv`.
+`max_plus` overrides all six, which gives the same values.  Four run on
+builtins: `sum` is `max`, `dot` `max` over `operator.add`, for any
+number type, `_invs` `map` over `operator.neg`, with no 𝟘 test, as its
+callers refuse 𝟘 first (`ProblemInstance` for A and q, `Matrix.conj`
+for its entries), and `contains_all` the range check on a list of ints;
+anything else takes the generic loop.  Its `product` writes
+max(r) + max(c) without a scan wherever r and c attain their maxima at
+a common index, when both operands hold only ints, the right one has
+at least three columns, and the argmax entries are many: with R rows,
+C columns and inner dimension n, (row argmaxes)·(column argmaxes) ≥
+4n(R + C), the point where the masks' cost meets the dots they save,
+tested first with R·n in place of the row argmaxes, on the columns
+alone; other entries, and other operands, take one `dot` each.  In `sum` and `dot`, as in the
 fold's `add(acc, …)`, the left operand wins a tie: `max` keeps the
 earlier of equal terms; in `star`, c_ij wins over c_ik ⊗ c_kj.  Ties
 matter: an int and an equal float (2**60 and 2.0**60) compare equal
@@ -169,6 +173,10 @@ class Semifield:
     def inv(self, a: Scalar) -> Scalar:
         raise NotImplementedError
 
+    def _invs(self, row: Iterable[Scalar]) -> Iterable[Scalar]:
+        """The inverse of each entry of `row`, which must hold no 𝟘."""
+        return map(self.inv, row)
+
     def contains(self, a: object) -> bool:
         """True when `a` is a carrier element of this semifield."""
         raise NotImplementedError
@@ -255,6 +263,10 @@ class _MaxPlus(Semifield):
             raise InversionOfZero("the max-plus zero (-inf) has no inverse")
         return -a
 
+    # -a without inv's 𝟘 test: the callers have refused 𝟘
+    def _invs(self, row):
+        return map(operator.neg, row)
+
     # max keeps the first of equal maxima: the earlier term wins a tie, as in the fold
     def sum(self, values):
         return max(values, default=self.zero)
@@ -271,14 +283,17 @@ class _MaxPlus(Semifield):
         # three dots.  Were the argmax positions independent and uniform, a
         # row and a column would meet in about (row argmaxes)·(column
         # argmaxes)/n of the R·C entries; the masks are built when that
-        # estimate reaches 4(R + C).
+        # estimate reaches 4(R + C).  A row has at most n argmaxes, so the
+        # columns alone refuse first where R·n·(column argmaxes) falls short.
         if len(cols) < 3:
             return super().product(rows, cols)
         col_tops = list(map(max, cols))
+        col_hits = sum(map(operator.countOf, cols, col_tops))
+        bar = 4 * len(cols[0]) * (len(rows) + len(cols))
+        if len(rows) * len(cols[0]) * col_hits < bar:
+            return super().product(rows, cols)
         row_tops = list(map(max, rows))
-        if (sum(map(operator.countOf, rows, row_tops))
-                * sum(map(operator.countOf, cols, col_tops))
-                < 4 * len(cols[0]) * (len(rows) + len(cols))
+        if (sum(map(operator.countOf, rows, row_tops)) * col_hits < bar
                 or set(map(type, chain.from_iterable(cols))) != {int}
                 or set(map(type, chain.from_iterable(rows))) != {int}):
             return super().product(rows, cols)

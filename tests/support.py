@@ -7,10 +7,11 @@ power series, a reference irreducibility test by depth-first search, a
 max-plus instance on the generic vector loops with a ⊗ counter for
 `max_plus` and a line counter for code that makes no countable call,
 raw max/+ evaluators that give the tests an arithmetic path independent
-of the package's semifield operations, the inverse of the CLI's file
-parser, the parser's former row-by-row matrix check, the CLI's former
-argument parser, and a runner for subprocesses that import the package
-from src/.
+of the package's semifield operations, `solve_unconstrained` as it was
+before its whole-vector passes, the inverse of the CLI's file parser,
+the parser's former row-by-row matrix check, the CLI's former argument
+parser, and a runner for subprocesses that import the package from
+src/.
 """
 
 import contextlib
@@ -21,9 +22,11 @@ import subprocess
 import sys
 from collections import Counter
 from collections.abc import Sequence
+from itertools import compress, repeat
+from operator import eq
 from pathlib import Path
 
-from tropspan import (Matrix, NotSquare, ProblemInstance, Scalar, Semifield,
+from tropspan import (Matrix, NotSquare, ProblemInstance, Scalar, Semifield, SolutionReport,
                       TrConditionViolated, max_plus, max_times, ones)
 from tropspan.semiring import _MaxPlus
 
@@ -388,6 +391,34 @@ def raw_satisfies_constraint(rows, x):
     """True when rows @ x <= x holds entrywise in ordinary arithmetic."""
     return all(max(cij + xj for cij, xj in zip(row, x)) <= xi
                for row, xi in zip(rows, x))
+
+
+# ----------------------------------------------------------------------
+# the solver by entries: a reference for its whole-vector passes
+
+def solve_unconstrained_by_entries(inst: ProblemInstance) -> SolutionReport:
+    """`optimizer.solve_unconstrained` as it formed W, q⁻ and the pairs:
+    one `inv` call per entry, a ⊗ by pₛ on every entry of W, and a loop
+    over the tied columns.  A reference for the whole-vector passes, by
+    value, type and repr."""
+    sf = inst.sf
+    mul, inv = sf.mul, sf.inv
+    q_inv = tuple(map(inv, inst.q.entries()))                       # q⁻
+    w = [tuple(map(mul, map(inv, row), repeat(p_s)))                # row s: a_s⁻¹ ⊗ p_s
+         for row, p_s in zip(inst.A.data, inst.p.entries())]
+    w_cols = list(zip(*w))
+    col_left = [sf.dot(q_inv, col) for col in zip(*inst.B.data)]    # q⁻ ⊗ b_j
+    col_right = list(map(sf.sum, w_cols))                           # a_j⁻ ⊗ p
+    terms = list(map(mul, col_left, col_right))
+    delta = sf.sum(terms)
+
+    pairs: list[tuple[int, int]] = []
+    for k in compress(range(len(terms)), map(eq, terms, repeat(delta))):
+        # the rows s attaining a_k⁻ ⊗ p
+        pairs += zip(repeat(k), compress(range(len(w)), map(eq, w_cols[k], repeat(col_right[k]))))
+    # each optimal row once, in order of first appearance
+    rows = dict.fromkeys(s for _, s in pairs)
+    return SolutionReport(sf, delta, tuple(pairs), tuple((s, w[s]) for s in rows))
 
 
 # ----------------------------------------------------------------------

@@ -568,6 +568,51 @@ def test_whole_matrix_check_matches_the_row_by_row_parse(raw, key, n):
                 == _parse_or_refusal(parse_matrix_by_rows, raw, key, n, allow_null))
 
 
+_MAX_INT = int(sys.float_info.max)
+_REFUSED = "p.json: entry at row {} of 'm' must be a finite number{}"
+
+
+@pytest.mark.parametrize("rows,allow_null,expected", [
+    # int only: no test for 𝟘, and min and max give the range and the largest |entry|
+    ([[1, -7], [3, 0]], False, (7, int)),
+    ([[-3, 3], [0, -3]], False, (3, int)),
+    ([[0, 0], [0, 0]], False, (0, int)),
+    ([[_MAX_INT, -_MAX_INT], [0, 1]], False, (_MAX_INT, int)),
+    ([[2 ** 60, -2 ** 60 - 1], [0, 1]], False, (2 ** 60 + 1, int)),
+    # mixed int/float: the first of equal |entries| in row-major order
+    ([[2, -3.0], [3, 0.5]], False, (3.0, float)),
+    ([[2 ** 60, -2.0 ** 60], [1.5, 0]], False, (2 ** 60, int)),
+    ([[0, -0.0], [0.0, 0]], False, (0, int)),
+    ([[-0.0, 0.0], [0.0, -0.0]], False, (0, int)),
+    # bool, out-of-range ints, 1e999 and -1e999 (json's inf and -inf, the zero)
+    ([[1, True], [2, 3]], False, _REFUSED.format("1, column 2", "")),
+    ([[1, 2], [False, 3.5]], True, _REFUSED.format("2, column 1", " or null")),
+    ([[1, 2], [3, _MAX_INT + 1]], False, _REFUSED.format("2, column 2", "")),
+    ([[1, -_MAX_INT - 1], [3, 4]], False, _REFUSED.format("1, column 2", "")),
+    ([[1, 2], [1e999, 4]], False, _REFUSED.format("2, column 1", "")),
+    ([[1, 2], [3, -1e999]], False, _REFUSED.format("2, column 2", "")),
+    ([[1, 2], [3, -1e999]], True, _REFUSED.format("2, column 2", " or null")),
+    # nulls: refused in start_finish, 𝟘 and out of the checks in start_start
+    ([[1, None], [2, 3]], False, "p.json: 'm' does not admit null (row 1, column 2)"),
+    ([[None, -4], [2, None]], True, (4, int)),
+    ([[None, -4.0], [4, None]], True, (4.0, float)),
+    ([[None, None], [None, None]], True, (0, int)),
+    ([[None, 2], [_MAX_INT + 1, None]], True, _REFUSED.format("2, column 1", " or null")),
+], ids=["int", "int-abs-tie", "int-zeros", "int-at-float-max", "int-beyond-2**53",
+        "mixed", "mixed-2**60-tie", "mixed-zeros", "signed-zeros", "bool", "bool-with-nulls",
+        "int-beyond-float", "int-below-float", "1e999", "-1e999", "-1e999-with-nulls",
+        "null-refused", "int-with-nulls", "mixed-with-nulls", "all-null", "beyond-with-nulls"])
+def test_admission_keeps_matrix_largest_entry_and_refusal_text(rows, allow_null, expected):
+    """`_parse_matrix` against the row-by-row parse: the same matrix, the
+    same largest |entry| by value and type, or the same refusal text; and
+    each largest |entry| or refusal as written here."""
+    from tropspan.cli import _parse_matrix
+    raw = {"m": rows}
+    got = _parse_or_refusal(_parse_matrix, raw, "m", 2, allow_null)
+    assert got == _parse_or_refusal(parse_matrix_by_rows, raw, "m", 2, allow_null)
+    assert (got if isinstance(got, str) else got[1]) == expected
+
+
 def test_whole_matrix_check_matches_the_row_by_row_parse_on_random_files():
     from tropspan.cli import _parse_matrix
     rng = random.Random(23)

@@ -3,19 +3,20 @@ from itertools import product
 
 import pytest
 
-from tropspan import (InvariantViolation, Matrix, NotRegular, NotSquare,
+from tropspan import (INSTANCES, InvariantViolation, Matrix, NotRegular, NotSquare,
                       ProblemInstance, ShapeMismatch, TrConditionViolated, asterate,
                       evaluate_objective, max_completion_spread,
                       max_completion_spread_constrained, max_initiation_spread,
-                      max_plus, ones, optimizer, solve_constrained, solve_norm_form,
-                      solve_unconstrained)
+                      max_plus, max_times, ones, optimizer, solve_constrained,
+                      solve_norm_form, solve_unconstrained)
 from tropspan.optimizer import require_zero_free
 from oracles import GridSpec, brute_force_max, solve_scalar_equation
 from support import (COMBINED, NEG_INF, SS_STAR, START_FINISH, START_START, col,
                      counted_line, counted_products, mp, norm_form_instance,
                      potential_start_start, random_feasible_constraint,
                      random_instance, random_regular_column, random_row_regular,
-                     raw_objective, raw_span)
+                     raw_objective, raw_span, rng_feasible_constraint,
+                     solve_unconstrained_by_entries)
 
 
 # ----------------------------------------------------------------------
@@ -147,13 +148,118 @@ def test_families_of_one_row_share_one_bounds_tuple():
     with counted_products() as counts:
         report = solve_norm_form(a, a)
     assert len(report.families) == n * n
-    # each bound once: n² products for W, n² for the n dots q⁻ ⊗ b_j, n for the terms
-    assert counts["mul"] == 2 * n * n + n
+    # n² for the n dots q⁻ ⊗ b_j and n for the terms; W makes none, as each
+    # of its int rows skips its ⊗ by p_s = 𝟙
+    assert counts["mul"] == n * n + n
     by_row = {}
     for (k, s), fam in zip(report.pairs, report.families):
         assert fam.upper_bounds is by_row.setdefault(s, fam.upper_bounds)
     assert len(by_row) == n
     assert all(bounds == (0,) * n for bounds in by_row.values())
+
+
+# ----------------------------------------------------------------------
+# the whole-vector passes against the solver by entries
+
+def _exact(report):
+    """delta, pairs and bounds, each number with its type and repr: 2**60
+    and 2.0**60 tie, as do 0.0 and -0.0, but each pair prints differently."""
+    def typed(values):
+        return [(v, type(v), repr(v)) for v in values]
+    return typed([report.delta]), report.pairs, [(s, typed(b)) for s, b in report.bounds]
+
+
+def _tie_element(rng, sf):
+    """A finite element, often one side of an int/float tie or a signed zero."""
+    if sf is max_times:
+        v = rng.choice((1, 2, 3, 2 ** 60, 0.5))
+        return rng.choice((v, float(v)))
+    v = rng.choice((0, 0, 1, -2, 3, 2 ** 60, -2 ** 60))
+    return rng.choice((v, float(v), -float(v)))
+
+
+def _units(sf):
+    """𝟙 as an int and as a float, and -0.0 where 𝟙 is 0."""
+    return (sf.one, float(sf.one)) + (() if sf is max_times else (-0.0,))
+
+
+def _weights(rng, sf, m):
+    """p or q: `ones` (every entry the int 𝟙), units of both types and
+    signs, or any elements."""
+    kind = rng.choice(("ones", "units", "any"))
+    if kind == "ones":
+        return ones(sf, m)
+    pick = (lambda: rng.choice(_units(sf))) if kind == "units" else (lambda: _tie_element(rng, sf))
+    return Matrix.column(sf, [pick() for _ in range(m)])
+
+
+def _differential_instances(rng, sf):
+    for n in (1, 2, 3, 5, 8, 16, 40):
+        m, l = rng.randint(1, n + 3), rng.randint(1, n + 3)
+        a = Matrix(sf, [[_tie_element(rng, sf) for _ in range(n)] for _ in range(m)])
+        b = [[sf.zero if rng.random() < 0.3 else _tie_element(rng, sf) for _ in range(n)]
+             for _ in range(l)]
+        for j in range(n):   # column regular
+            if all(row[j] == sf.zero for row in b):
+                b[rng.randrange(l)][j] = _tie_element(rng, sf)
+        yield ProblemInstance(a, Matrix(sf, b), _weights(rng, sf, m), _weights(rng, sf, l))
+        yield ProblemInstance(a, a, _weights(rng, sf, m), _weights(rng, sf, m))
+        # int rows, whose ⊗ by the int 𝟙 is skipped, and rows of units of
+        # both types and signs, where it is not
+        for pick in ((lambda: rng.choice((1, 2, 3))), (lambda: rng.choice(_units(sf)))):
+            c = Matrix(sf, [[pick() for _ in range(n)] for _ in range(m)])
+            yield ProblemInstance(c, c, _weights(rng, sf, m), _weights(rng, sf, m))
+            yield ProblemInstance(c, c, ones(sf, m), ones(sf, m))
+
+
+@pytest.mark.parametrize("sf", INSTANCES, ids=lambda sf: sf.name)
+@pytest.mark.parametrize("seed", range(3))
+def test_solver_matches_the_solver_by_entries(sf, seed):
+    """delta, pairs and bounds equal those of the solver by entries, by
+    value, type and repr, on every shipped semifield up to n = 40."""
+    rng = random.Random(f"differential:{sf.name}:{seed}")
+    for inst in _differential_instances(rng, sf):
+        assert _exact(solve_unconstrained(inst)) == _exact(solve_unconstrained_by_entries(inst))
+
+
+def _constrained_cases(rng):
+    """(a, b, p, q, c): potential-based max-plus C up to n = 40 with int or
+    mixed A, and small feasible C on every semifield; A may hold 𝟘."""
+    for n in (2, 5, 12, 40):
+        c = mp(potential_start_start(rng, n, 0.3)[0])
+        for entry in ((lambda: rng.randint(0, 9)), (lambda: _tie_element(rng, max_plus))):
+            a = mp([[None if rng.random() < 0.2 else entry() for _ in range(n)] for _ in range(n)])
+            yield a, a, ones(max_plus, n), ones(max_plus, n), c
+            b = mp([[entry() for _ in range(n)] for _ in range(n + 1)])
+            yield a, b, _weights(rng, max_plus, n), _weights(rng, max_plus, n + 1), c
+    for sf in INSTANCES:
+        for _ in range(6):
+            c = rng_feasible_constraint(rng, sf, max_n=5)
+            n = c.rows
+            a = Matrix(sf, [[_tie_element(rng, sf) for _ in range(n)] for _ in range(n)])
+            yield a, a, _weights(rng, sf, n), _weights(rng, sf, n), c
+
+
+def test_constrained_reports_match_the_solver_by_entries(monkeypatch):
+    """The report of `solve_constrained` equals the solver by entries on
+    its reduced instance (A ⊗ C*, B ⊗ C*, p, q), by value, type and repr."""
+    reduced = []
+
+    def spy(inst):
+        reduced.append(inst)
+        return solve_unconstrained(inst)
+
+    monkeypatch.setattr(optimizer, "solve_unconstrained", spy)
+    rng = random.Random(34)
+    solved = 0
+    for a, b, p, q, c in _constrained_cases(rng):
+        try:
+            report = solve_constrained(a, b, p, q, c).report
+        except InvariantViolation:   # a reduced A with a 𝟘 entry
+            continue
+        assert _exact(report) == _exact(solve_unconstrained_by_entries(reduced[-1]))
+        solved += 1
+    assert solved >= 20
 
 
 def _typed(values):
