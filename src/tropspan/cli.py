@@ -144,10 +144,11 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
     The checks run on the whole matrix: one shape test over the rows,
     then, on its entries flattened in row-major order, one `contains_all`
     over the numbers, one test for 𝟘 and one `max` of |entry|.  On ints
-    alone, never 𝟘, the test is skipped and the other two see only the
-    min and the max.  Only when a check fails are the rows walked in
-    order, and the first faulty row gives the message: its shape, or
-    else its first refused entry."""
+    alone, `max_plus._int_extremes` gives the min and the max: the
+    other two checks see only those, and the 𝟘 test is skipped.  Only
+    when a check fails are the rows walked in order, and the first
+    faulty row gives the message: its shape, or else its first refused
+    entry."""
     rows = raw.get(key)
     if rows is None:
         return None, 0
@@ -159,15 +160,16 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
         # admitted nulls (every start_start row has one: a project has no
         # self-lags) stay out of the check; any other null fails contains_all
         values = [v for v in flat if v is not None] if allow_null and None in flat else flat
-        extremes = (min(values), max(values)) if set(map(type, values)) == {int} else values
-        if max_plus.contains_all(extremes) and (extremes is not values or zero not in values):
+        extremes = max_plus._int_extremes(values)
+        checked = values if extremes is None else extremes
+        if max_plus.contains_all(checked) and (extremes is not None or zero not in values):
             if values is not flat:
                 rows = [[zero if v is None else v for v in row] if None in row else row
                         for row in rows]
             # admitted entries and 𝟘 pass every check of the constructor; max
             # keeps the first of equal |entries|, and 0 where all are 0
             return (Matrix._wrap(max_plus, tuple(map(tuple, rows))),
-                    max(0, max(map(abs, extremes), default=0)))
+                    max(0, max(map(abs, checked), default=0)))
     raise _first_fault(rows, key, n, path, allow_null)
 
 
@@ -232,16 +234,18 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     """The json or text output of a solved run, written straight from the report.
 
     The writer owns the shifted bounds.  `report.bounds` holds each
-    row's vector once, so each is shifted by alpha (at 0, `_number`'s
-    int for any zero, it is its own shift) and turned into texts once,
-    keyed by its row s, and the pairs are walked with no `BoxFamily`
-    built.  Under `--latest`, `_latest_columns` applies its rule to
-    those shifted vectors; a schedule whose x_j equals a row's reuses
-    that row's texts, since `_fmt` gives equal values equal
+    row's vector once, so each is shifted by alpha and turned into
+    texts once, keyed by its row s, and the pairs are walked with no
+    `BoxFamily` built.  Under `--latest`, `_latest_columns` applies its
+    rule to those shifted vectors; a schedule whose x_j equals a row's
+    reuses that row's texts, since `_fmt` gives equal values equal
     texts.  The 1-based index texts and the heads of a family and of a
     pair for each index are built once: a family is then four list
     items and a pair one concatenation, with no template fill.
     """
+    # an int 0 shift (`_number` makes every zero alpha the int 0) keeps
+    # each value and type; it could only turn a float -0.0 into 0.0, and
+    # `_fmt` writes both as 0, so the bounds serve unshifted
     shifted = {s: tuple(map(max_plus.mul, repeat(alpha), bounds)) if alpha else bounds
                for s, bounds in report.bounds}
     texts = {s: _texts(member) for s, member in shifted.items()}

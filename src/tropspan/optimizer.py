@@ -151,19 +151,17 @@ def solve_unconstrained(inst: ProblemInstance) -> SolutionReport:
     s are enumerated, one family per pair.  Each number is read off one
     m×n matrix W, wₛⱼ = aₛⱼ⁻¹ ⊗ pₛ, formed once: aⱼ⁻ ⊗ p is the ⊕ of
     column j, the rows tied in column k hold that ⊕, and row s of W
-    is row s's bounds, the report's `bounds`.  Each pass takes whole rows
-    or columns (inverses by `Semifield._invs`), with no call per entry.
+    is row s's bounds, the report's `bounds`.  Each pass maps over whole
+    rows or columns (inverses by `Semifield._invs`), with no Python loop
+    over the entries or the pairs.
     """
     sf = inst.sf
-    mul, invs, one = sf.mul, sf._invs, sf.one
+    mul, invs = sf.mul, sf._invs
     q_inv = tuple(invs(chain.from_iterable(inst.q.data)))                   # q⁻
-    # row s: a_s⁻ ⊗ p_s, but no ⊗ 𝟙 on an int row (its sum is an int):
-    # a float 0.0 inverts to -0.0, which ⊗ 𝟙 makes 0.0
-    w = [tuple(invs(a_s) if p_s is one and type(sum(a_s)) is int
-               else map(mul, invs(a_s), repeat(p_s)))
+    w = [tuple(map(mul, invs(a_s), repeat(p_s)))                            # row s: a_s⁻ ⊗ p_s
          for a_s, (p_s,) in zip(inst.A.data, inst.p.data)]
     w_cols = list(zip(*w))
-    col_left = list(map(sf.dot, repeat(q_inv), zip(*inst.B.data)))        # q⁻ ⊗ b_j
+    col_left = list(map(sf.dot, repeat(q_inv), zip(*inst.B.data)))          # q⁻ ⊗ b_j
     col_right = list(map(sf.sum, w_cols))                                   # a_j⁻ ⊗ p
     terms = list(map(mul, col_left, col_right))
     delta = sf.sum(terms)

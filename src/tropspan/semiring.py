@@ -55,13 +55,12 @@ max(r) + max(c) without a scan wherever r and c attain their maxima at
 a common index, when both operands hold only ints, the right one has
 at least three columns, and the argmax entries are many: with R rows,
 C columns and inner dimension n, (row argmaxes)·(column argmaxes) ≥
-4n(R + C), the point where the masks' cost meets the dots they save,
-tested first with R·n in place of the row argmaxes, on the columns
-alone; other entries, and other operands, take one `dot` each.  In `sum` and `dot`, as in the
-fold's `add(acc, …)`, the left operand wins a tie: `max` keeps the
-earlier of equal terms; in `star`, c_ij wins over c_ik ⊗ c_kj.  Ties
-matter: an int and an equal float (2**60 and 2.0**60) compare equal
-but print differently.
+4n(R + C), the point where the masks' cost meets the dots they save;
+other entries, and other operands, take one `dot` each.  In `sum` and
+`dot`, as in the fold's `add(acc, …)`, the left operand wins a tie:
+`max` keeps the earlier of equal terms; in `star`, c_ij wins over
+c_ik ⊗ c_kj.  Ties matter: an int and an equal float (2**60 and
+2.0**60) compare equal but print differently.
 
 Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
@@ -283,17 +282,14 @@ class _MaxPlus(Semifield):
         # three dots.  Were the argmax positions independent and uniform, a
         # row and a column would meet in about (row argmaxes)·(column
         # argmaxes)/n of the R·C entries; the masks are built when that
-        # estimate reaches 4(R + C).  A row has at most n argmaxes, so the
-        # columns alone refuse first where R·n·(column argmaxes) falls short.
+        # estimate reaches 4(R + C).
         if len(cols) < 3:
             return super().product(rows, cols)
         col_tops = list(map(max, cols))
-        col_hits = sum(map(operator.countOf, cols, col_tops))
-        bar = 4 * len(cols[0]) * (len(rows) + len(cols))
-        if len(rows) * len(cols[0]) * col_hits < bar:
-            return super().product(rows, cols)
         row_tops = list(map(max, rows))
-        if (sum(map(operator.countOf, rows, row_tops)) * col_hits < bar
+        if (sum(map(operator.countOf, rows, row_tops))
+                * sum(map(operator.countOf, cols, col_tops))
+                < 4 * len(cols[0]) * (len(rows) + len(cols))
                 or set(map(type, chain.from_iterable(cols))) != {int}
                 or set(map(type, chain.from_iterable(rows))) != {int}):
             return super().product(rows, cols)
@@ -307,12 +303,18 @@ class _MaxPlus(Semifield):
     def contains(self, a):
         return _is_number(a) and a < math.inf
 
+    def _int_extremes(self, values):
+        """(min, max) of `values` when every entry is an int, else None.
+        Ints are never NaN, infinite or the zero -inf, so `contains_all`
+        of the two extremes is `contains_all` of `values`, and no entry
+        is 𝟘.  By type, not isinstance: bools, floats and strings give None."""
+        return (min(values), max(values)) if set(map(type, values)) == {int} else None
+
     def contains_all(self, values):
-        # by type, not isinstance: bools, floats and strings take the
-        # generic loop; ints are never NaN, infinite or the zero -inf
-        if set(map(type, values)) == {int}:
-            return -sys.float_info.max <= min(values) and max(values) <= sys.float_info.max
-        return super().contains_all(values)
+        extremes = self._int_extremes(values)
+        if extremes is None:
+            return super().contains_all(values)
+        return -sys.float_info.max <= extremes[0] and extremes[1] <= sys.float_info.max
 
     def star(self, rows, tail=()):
         # packed rows: the module docstring states the encoding, its gate

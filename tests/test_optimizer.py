@@ -148,9 +148,8 @@ def test_families_of_one_row_share_one_bounds_tuple():
     with counted_products() as counts:
         report = solve_norm_form(a, a)
     assert len(report.families) == n * n
-    # n² for the n dots q⁻ ⊗ b_j and n for the terms; W makes none, as each
-    # of its int rows skips its ⊗ by p_s = 𝟙
-    assert counts["mul"] == n * n + n
+    # each bound once: n² products for W, n² for the n dots q⁻ ⊗ b_j, n for the terms
+    assert counts["mul"] == 2 * n * n + n
     by_row = {}
     for (k, s), fam in zip(report.pairs, report.families):
         assert fam.upper_bounds is by_row.setdefault(s, fam.upper_bounds)
@@ -204,12 +203,16 @@ def _differential_instances(rng, sf):
                 b[rng.randrange(l)][j] = _tie_element(rng, sf)
         yield ProblemInstance(a, Matrix(sf, b), _weights(rng, sf, m), _weights(rng, sf, l))
         yield ProblemInstance(a, a, _weights(rng, sf, m), _weights(rng, sf, m))
-        # int rows, whose ⊗ by the int 𝟙 is skipped, and rows of units of
-        # both types and signs, where it is not
+        # int rows, and rows of units of both types and signs, whose
+        # inverses ⊗ 𝟙 keep or lose a signed zero
         for pick in ((lambda: rng.choice((1, 2, 3))), (lambda: rng.choice(_units(sf)))):
             c = Matrix(sf, [[pick() for _ in range(n)] for _ in range(m)])
             yield ProblemInstance(c, c, _weights(rng, sf, m), _weights(rng, sf, m))
             yield ProblemInstance(c, c, ones(sf, m), ones(sf, m))
+    # ints near the largest float beside a float: each entry is a carrier
+    # element, but their sum is past the float range
+    big = Matrix(sf, [[10 ** 308, 10 ** 308, 0.5]])
+    yield ProblemInstance(big, big, ones(sf, 1), ones(sf, 1))
 
 
 @pytest.mark.parametrize("sf", INSTANCES, ids=lambda sf: sf.name)
