@@ -25,7 +25,7 @@ from .errors import InvariantViolation, TrConditionViolated, TropicalError
 from .matvec import Matrix
 from .scheduling import (_latest_columns, max_completion_spread,
                          max_completion_spread_constrained, max_initiation_spread)
-from .semiring import _fmt, max_plus
+from .semiring import _fmt, _int_extremes, max_plus
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -144,11 +144,11 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
     The checks run on the whole matrix: one shape test over the rows,
     then, on its entries flattened in row-major order, one `contains_all`
     over the numbers, one test for 𝟘 and one `max` of |entry|.  On ints
-    alone, `max_plus._int_extremes` gives the min and the max: the
-    other two checks see only those, and the 𝟘 test is skipped.  Only
-    when a check fails are the rows walked in order, and the first
-    faulty row gives the message: its shape, or else its first refused
-    entry."""
+    alone, `_int_extremes`, the rule `contains_all` itself applies,
+    gives the min and the max: `contains_all` and `max` see only those,
+    and the 𝟘 test is skipped, as no int is the max-plus 𝟘.  Only when
+    a check fails are the rows walked in order, and the first faulty
+    row gives the message: its shape, or else its first refused entry."""
     rows = raw.get(key)
     if rows is None:
         return None, 0
@@ -160,7 +160,7 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
         # admitted nulls (every start_start row has one: a project has no
         # self-lags) stay out of the check; any other null fails contains_all
         values = [v for v in flat if v is not None] if allow_null and None in flat else flat
-        extremes = max_plus._int_extremes(values)
+        extremes = _int_extremes(values)
         checked = values if extremes is None else extremes
         if max_plus.contains_all(checked) and (extremes is not None or zero not in values):
             if values is not flat:

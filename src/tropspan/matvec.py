@@ -24,9 +24,8 @@ The same call takes tail rows and returns tail ⊗ C* with the closure,
 formed once the pivots have closed C, so a refusal costs no tail work.
 `solve_constrained` forms A ⊗ C* so, in place of a product.  Packed,
 each tail row accumulates t_k ⊗ (row k of C*) in the fields of the
-closure's rows.  One gate covers C and the tail together: a float in
-either, or ints too wide for 64-bit fields, sends the whole call to the
-generic loop.  `semiring` states the gate and why no field overflows.
+closure's rows.  `semiring` owns the gate between the packed and the
+generic pass, and shows why no field overflows.
 `asterate` and `solve_constrained` call `Semifield.star`, which words the refusal.
 """
 

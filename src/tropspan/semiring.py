@@ -40,27 +40,27 @@ loops of matrix products, closures and checks:
 
 The generic `sum` and `dot` are one `functools.reduce` fold over `add`
 from 𝟘, `product` one `dot` per entry, `contains_all` a loop over
-`contains`; `star` is one Floyd–Warshall pass of row updates
+`contains`, on only the min and max of a list of ints (its docstring
+says why); `star` is one Floyd–Warshall pass of row updates
 c_ij ⊕ c_ik ⊗ c_kj, a loop over `add` and `mul`, which raises
 `_infeasible`'s `TrConditionViolated`, carrying `k` and `weight`, at
 the first pivot k whose closed walk outweighs 𝟙, then the `product` of
 the tail rows and the closure's columns; `_invs` is `map` over `inv`.
-`max_plus` overrides all six, which gives the same values.  Four run on
-builtins: `sum` is `max`, `dot` `max` over `operator.add`, for any
-number type, `_invs` `map` over `operator.neg`, with no 𝟘 test, as its
-callers refuse 𝟘 first (`ProblemInstance` for A and q, `Matrix.conj`
-for its entries), and `contains_all` the range check on a list of ints;
-anything else takes the generic loop.  Its `product` writes
-max(r) + max(c) without a scan wherever r and c attain their maxima at
-a common index, when both operands hold only ints, the right one has
-at least three columns, and the argmax entries are many: with R rows,
-C columns and inner dimension n, (row argmaxes)·(column argmaxes) ≥
-4n(R + C), the point where the masks' cost meets the dots they save;
-other entries, and other operands, take one `dot` each.  In `sum` and
-`dot`, as in the fold's `add(acc, …)`, the left operand wins a tie:
-`max` keeps the earlier of equal terms; in `star`, c_ij wins over
-c_ik ⊗ c_kj.  Ties matter: an int and an equal float (2**60 and
-2.0**60) compare equal but print differently.
+`max_plus` overrides five of the six, all but `contains_all`, with the
+same values.  Three run on builtins: `sum` is `max`, `dot` `max` over
+`operator.add`, for any number type, and `_invs` `map` over
+`operator.neg`, with no 𝟘 test, as its callers refuse 𝟘 first
+(`ProblemInstance` for A and q, `Matrix.conj` for its entries).  Its
+`product` writes max(r) + max(c) without a scan wherever r and c
+attain their maxima at a common index, when both operands hold only
+ints, the right one has at least three columns, and the argmax entries
+are many: with R rows, C columns and inner dimension n, (row
+argmaxes)·(column argmaxes) ≥ 4n(R + C), the point where the masks'
+cost meets the dots they save; other entries, and other operands, take
+one `dot` each.  In `sum` and `dot`, as in the fold's `add(acc, …)`,
+the left operand wins a tie: `max` keeps the earlier of equal terms;
+in `star`, c_ij wins over c_ik ⊗ c_kj.  Ties matter: an int and an
+equal float (2**60 and 2.0**60) compare equal but print differently.
 
 Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
@@ -146,6 +146,15 @@ def _infeasible(k: int, weight: Scalar, one: Scalar) -> TrConditionViolated:
                                f"{_fmt(weight)}, which exceeds the unit {_fmt(one)}", k, weight)
 
 
+def _int_extremes(values: Sequence[object]) -> tuple[int, int] | None:
+    """(min, max) of `values` when every entry is an int, else None.
+
+    By type, not isinstance: bools, floats and strings give None, and so
+    does an empty list.  An int is never NaN or infinite, so never the
+    max-plus or the min-plus 𝟘."""
+    return (min(values), max(values)) if set(map(type, values)) == {int} else None
+
+
 def _argmax_mask(v: Sequence[Scalar], top: Scalar) -> int:
     """The indices l with v[l] == top, as the bits 8·l of an int."""
     return int.from_bytes(bytes(map(operator.eq, v, repeat(top))), "little")
@@ -208,8 +217,11 @@ class Semifield:
         return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
 
     def contains_all(self, values: Sequence[object]) -> bool:
-        """True when every entry of `values` is a carrier element."""
-        return all(map(self.contains, values))
+        """True when every entry of `values` is a carrier element.  A list
+        of ints alone is checked by `_int_extremes`' min and max: the ints
+        of every shipped carrier form an interval ([-M, M] in max-plus and
+        min-plus, [0, M] in max-times, M the largest float)."""
+        return all(map(self.contains, _int_extremes(values) or values))
 
     def star(self, rows: Sequence[Sequence[Scalar]],
              tail: Sequence[Sequence[Scalar]] = ()) -> tuple[tuple[Scalar, ...], ...]:
@@ -302,19 +314,6 @@ class _MaxPlus(Semifield):
 
     def contains(self, a):
         return _is_number(a) and a < math.inf
-
-    def _int_extremes(self, values):
-        """(min, max) of `values` when every entry is an int, else None.
-        Ints are never NaN, infinite or the zero -inf, so `contains_all`
-        of the two extremes is `contains_all` of `values`, and no entry
-        is 𝟘.  By type, not isinstance: bools, floats and strings give None."""
-        return (min(values), max(values)) if set(map(type, values)) == {int} else None
-
-    def contains_all(self, values):
-        extremes = self._int_extremes(values)
-        if extremes is None:
-            return super().contains_all(values)
-        return -sys.float_info.max <= extremes[0] and extremes[1] <= sys.float_info.max
 
     def star(self, rows, tail=()):
         # packed rows: the module docstring states the encoding, its gate

@@ -290,7 +290,6 @@ class _GenericMaxPlus(_MaxPlus):
     sum = Semifield.sum
     dot = Semifield.dot
     product = Semifield.product
-    contains_all = Semifield.contains_all
     star = Semifield.star
 
 

@@ -328,6 +328,20 @@ def test_alpha_counts_towards_the_range_limit(tmp_path, capsys):
     assert "too large" in captured.err
 
 
+def test_range_limit_counts_each_entry_twice(tmp_path, capsys):
+    """At n = 1 the limit is 2·|entry|: half the largest float passes, one more is refused."""
+    half = int(sys.float_info.max) // 2
+    path = tmp_path / "half.json"
+    path.write_text(f'{{"n": 1, "start_finish": [[{half}]]}}')
+    assert main(["sf", "--input", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    path.write_text(f'{{"n": 1, "start_finish": [[{half + 1}]]}}')
+    assert main(["sf", "--input", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "invalid_input"
+    assert "too large" in captured.err
+
+
 def test_alpha_shifts_families_and_schedules(capsys):
     assert main(["sf", "--input", str(DATA / "ex1.json"), "--latest",
                  "--alpha", "5"]) == EXIT_OK

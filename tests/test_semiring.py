@@ -291,14 +291,19 @@ def test_contains_all_matches_the_loop_over_contains(sf, values):
 FLOAT_MAX = int(sys.float_info.max)
 
 
-@given(values=st.lists(st.one_of(st.integers(), st.sampled_from(
-    (FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX + 1, -FLOAT_MAX - 1, 10 ** 400))), min_size=1))
+@pytest.mark.parametrize("sf", INSTANCES, ids=lambda sf: sf.name)
+@given(values=st.lists(st.one_of(st.integers(), st.integers(-8, 8), st.sampled_from(
+    (FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX + 1, -FLOAT_MAX - 1, 10 ** 400, -10 ** 400))),
+    min_size=1))
 @example(values=[FLOAT_MAX, -FLOAT_MAX])
 @example(values=[0, FLOAT_MAX + 1])
 @example(values=[-FLOAT_MAX - 1, 0])
-def test_max_plus_contains_all_of_ints_matches_the_generic_loop(values):
-    """A list of ints only is checked by its min and max."""
-    assert max_plus.contains_all(values) is Semifield.contains_all(max_plus, values)
+@example(values=[-1, 5])
+@example(values=[3, -2, 0])
+def test_contains_all_of_ints_matches_the_loop_over_contains(sf, values):
+    """A list of ints only is checked by its min and max; max-times
+    refuses its negative ints."""
+    assert sf.contains_all(values) is all(map(sf.contains, values))
 
 
 # ----------------------------------------------------------------------
