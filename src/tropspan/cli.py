@@ -67,8 +67,8 @@ def _number(text: str):
 # (parsed values go to the namespace); each build reassigns only
 # `action.container`, which argparse reads only under
 # `conflict_handler="resolve"`, so do not set that handler.  The full
-# parser is still built per call: caching it waits for the benchmark's
-# compact samples (ROADMAP item 2).
+# parser is still built per call: caching it (ROADMAP item 20) waits on
+# the benchmark's per-operation samples, which then grow its peak RSS.
 _OPTIONS = _Parser(add_help=False)
 _OPTIONS.add_argument("--input", required=True, help="path to the project json file")
 _OPTIONS.add_argument("--alpha", type=_number, default=0,
@@ -207,9 +207,7 @@ def _dispatch(command: str, start_finish: Matrix | None, start_start: Matrix | N
     return report, closure, start_finish
 
 
-_STATUS_JSON = ('{\n  "status": "%s",\n  "delta": null,\n  "pairs": [],\n'
-                '  "families": [],\n  "schedules": []\n}\n')
-_DOCUMENT = ('{\n  "status": "ok",\n  "delta": %s,\n  "pairs": %s,\n'
+_DOCUMENT = ('{\n  "status": "%s",\n  "delta": %s,\n  "pairs": %s,\n'
              '  "families": %s,\n  "schedules": %s\n}\n')
 _SCHEDULE = '{\n      "initiation": %s,%s\n      "span": %s\n    }'
 
@@ -227,7 +225,8 @@ def _texts(values) -> list[str]:
 
 
 def _render_status(status: str, fmt: str) -> str:
-    return _STATUS_JSON % status if fmt == "json" else f"status: {status}\n"
+    return (_DOCUMENT % (status, "null", "[]", "[]", "[]") if fmt == "json"
+            else f"status: {status}\n")
 
 
 def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
@@ -275,7 +274,8 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
         entries = [_SCHEDULE % (_list_text(x, "      "), "" if y is None else
                                 f'\n      "completion": {_list_text(y, "      ")},', delta)
                    for x, y in schedules]
-        return _DOCUMENT % (delta, _list_text(pairs, "  "), families, _list_text(entries, "  "))
+        return _DOCUMENT % ("ok", delta, _list_text(pairs, "  "), families,
+                            _list_text(entries, "  "))
     var = "u" if closure is not None else "x"
     # each row's "x_j <= b_j" parts once; a family swaps in "=" at its pinned index
     parts = {s: [f"{var}{label} <= {b}" for label, b in zip(labels, values)]

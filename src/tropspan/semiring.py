@@ -25,12 +25,15 @@ Shipped instances:
     min_plus    ⟨ℝ ∪ {+inf}, +inf, 0, min, +⟩
     max_times   ⟨ℝ≥0, 0, 1, max, ·⟩
 
-The max-plus and min-plus ⊗ is the builtin `operator.add`, the
-max-times ⊗ a method for its refusals; ⊕ stays a method, `a if b <= a else b` or its min, half
-the cost per call of a two-argument builtin `max`.  Besides `sum`, the
-⊕ of a sequence, and the private `_invs(v)`, the inverses of the vⱼ of a
-v that holds no 𝟘, every semifield has four vector operations, the inner
-loops of matrix products, closures and checks:
+Max-plus and min-plus, each the image of the other under x ↦ −x, share
+one base: 𝟙 = 0, ⊗ the builtin `operator.add`, the inverse −a, which
+refuses 𝟘, `_invs` below, and membership of every number but the top
+element, −𝟘.  ⊕ stays a method, `a if b <= a else b` (max-plus and
+max-times) or its min, half the cost per call of a two-argument builtin
+`max`; the max-times ⊗ is a method for its refusals.  Besides `sum`,
+the ⊕ of a sequence, and the private `_invs(v)`, the inverses of the vⱼ
+of a v that holds no 𝟘, every semifield has four vector operations, the
+inner loops of matrix products, closures and checks:
 
     dot(r, c)             ⊕ⱼ rⱼ ⊗ cⱼ
     product(rows, cols)   the rows of the matrix of every dot(r, c)
@@ -46,14 +49,15 @@ c_ij ⊕ c_ik ⊗ c_kj, a loop over `add` and `mul`, which raises
 `_infeasible`'s `TrConditionViolated`, carrying `k` and `weight`, at
 the first pivot k whose closed walk outweighs 𝟙, then the `product` of
 the tail rows and the closure's columns; `_invs` is `map` over `inv`.
-`max_plus` overrides five of the six, all but `contains_all`, with the
-same values.  Three run on builtins: `sum` is `max`, `dot` `max` over
-`operator.add`, for any number type, and `_invs` `map` over
+The max-plus and min-plus base overrides `_invs` by `map` over
 `operator.neg`, with no 𝟘 test, as its callers refuse 𝟘 first
-(`ProblemInstance` for A and q, `Matrix.conj` for its entries).  Its
-`product` writes max(r) + max(c) without a scan wherever r and c
-attain their maxima at a common index, when both operands hold only
-ints, the right one has at least three columns, and the argmax entries
+(`ProblemInstance` for A and q, `Matrix.conj` for its entries).
+`max_plus` overrides four more of the six, all but `contains_all`, with
+the same values.  Two run on builtins: `sum` is `max`, and `dot` `max`
+over `operator.add`, for any number type.  Its `product` writes
+max(r) + max(c) without a scan wherever r and c attain their maxima at
+a common index, when both operands hold only ints (one type scan over
+both), the right one has at least three columns, and the argmax entries
 are many: with R rows, C columns and inner dimension n, (row
 argmaxes)·(column argmaxes) ≥ 4n(R + C), the point where the masks'
 cost meets the dots they save; other entries, and other operands, take
@@ -66,8 +70,9 @@ Its `star` packs each row of a matrix of ints and 𝟘 into one int, one
 field of w bits per entry ("SIMD within a register": Lamport, Multiple
 byte processing with full-word instructions, CACM 18(8), 1975), so a
 row update is a dozen int operations on whole rows in place of a loop
-over entries.  One scan of the finite entries of C and the tail makes
-the int test and finds M = max|entry|; field j holds c_ij + b with
+over entries.  One `_int_extremes` call over the finite entries of C
+and the tail makes the int test and gives their min and max, so
+M = max|entry| is the larger of max and −min; field j holds c_ij + b with
 b = 2n·M + 1, or 0 for 𝟘, and w is the narrowest of 8, 16, 32 and 64
 bits that holds 2b below a guard bit.  The sum c_ik + c_kj is a
 carry-free add of row k to copies of c_ik; the guard bits of a
@@ -95,7 +100,8 @@ or the tail sends the whole call to the generic loop, which keeps the
 left operand of an int/float tie, and so do ints too large for 64-bit
 fields (4n·M + 2 ≥ 2**63), where whole-row operations cost more than
 the loop (about 10 times as much at n = 160 with ints near the CLI's
-bound); so does an int C with such a tail, at the loop's speed.
+bound); so does an int C with such a tail, at the loop's speed, and a
+call with no finite entry, whose closure is I.
 
 Max-plus and min-plus are exact on ints: max, min and + of ints are
 ints.  A float sum rounds where it needs more than 53 bits, and
@@ -259,24 +265,31 @@ class Semifield:
         return self.name.replace("-", "_")
 
 
-class _MaxPlus(Semifield):
-    name = "max-plus"
-    zero = float("-inf")
+class _Tropical(Semifield):
+    """The base of max-plus and min-plus: all but ⊕ and 𝟘 (module docstring)."""
+
     one = 0
-
-    def add(self, a, b):
-        return a if b <= a else b
-
     mul = staticmethod(operator.add)
 
     def inv(self, a):
         if a == self.zero:
-            raise InversionOfZero("the max-plus zero (-inf) has no inverse")
+            raise InversionOfZero(f"the {self.name} zero ({self.zero:+}) has no inverse")
         return -a
 
     # -a without inv's 𝟘 test: the callers have refused 𝟘
     def _invs(self, row):
         return map(operator.neg, row)
+
+    def contains(self, a):
+        return _is_number(a) and a != -self.zero
+
+
+class _MaxPlus(_Tropical):
+    name = "max-plus"
+    zero = float("-inf")
+
+    def add(self, a, b):
+        return a if b <= a else b
 
     # max keeps the first of equal maxima: the earlier term wins a tie, as in the fold
     def sum(self, values):
@@ -302,8 +315,7 @@ class _MaxPlus(Semifield):
         if (sum(map(operator.countOf, rows, row_tops))
                 * sum(map(operator.countOf, cols, col_tops))
                 < 4 * len(cols[0]) * (len(rows) + len(cols))
-                or set(map(type, chain.from_iterable(cols))) != {int}
-                or set(map(type, chain.from_iterable(rows))) != {int}):
+                or set(map(type, chain(*cols, *rows))) != {int}):
             return super().product(rows, cols)
         dot = self.dot
         by_col = list(zip(cols, col_tops, map(_argmax_mask, cols, col_tops)))
@@ -312,19 +324,16 @@ class _MaxPlus(Semifield):
                      for r, r_top, r_mask in zip(rows, row_tops,
                                                  map(_argmax_mask, rows, row_tops)))
 
-    def contains(self, a):
-        return _is_number(a) and a < math.inf
-
     def star(self, rows, tail=()):
         # packed rows: the module docstring states the encoding, its gate
         # and why no field overflows
         zero, one = self.zero, self.one
         n = len(rows)
-        finite = [v for r in chain(rows, tail) for v in r if v != zero]
-        if not set(map(type, finite)) <= {int}:
+        extremes = _int_extremes([v for r in chain(rows, tail) for v in r if v != zero])
+        if extremes is None:
             return super().star(rows, tail)
         # the bias b and the narrowest field that holds 2b with a guard bit above it
-        b = 2 * n * max(map(abs, finite), default=0) + 1
+        b = 2 * n * max(-extremes[0], extremes[1]) + 1
         size = next((s for s in _FIELD_CODES if 8 * s > (2 * b).bit_length()), None)
         if size is None:
             return super().star(rows, tail)
@@ -386,32 +395,19 @@ class _MaxPlus(Semifield):
         return closure + tuple(out)
 
 
-class _MinPlus(Semifield):
+class _MinPlus(_Tropical):
     name = "min-plus"
     zero = float("inf")
-    one = 0
 
     def add(self, a, b):
         return a if a <= b else b
-
-    mul = staticmethod(operator.add)
-
-    def inv(self, a):
-        if a == self.zero:
-            raise InversionOfZero("the min-plus zero (+inf) has no inverse")
-        return -a
-
-    def contains(self, a):
-        return _is_number(a) and a > -math.inf
 
 
 class _MaxTimes(Semifield):
     name = "max-times"
     zero = 0
     one = 1
-
-    def add(self, a, b):
-        return a if b <= a else b
+    add = _MaxPlus.add
 
     def mul(self, a, b):
         product = a * b

@@ -10,9 +10,10 @@ import pytest
 
 from tropspan import (INSTANCES, InvariantViolation, Matrix, NotIrreducible,
                       NotSquare, Schedule, ShapeMismatch, SolutionReport,
-                      TrConditionViolated, asterate, latest_schedule, max_completion_spread,
-                      max_completion_spread_constrained, max_initiation_spread,
-                      max_plus, max_times, min_plus, ones, solve_constrained)
+                      TrConditionViolated, TropicalError, asterate, latest_schedule,
+                      max_completion_spread, max_completion_spread_constrained,
+                      max_initiation_spread, max_plus, max_times, min_plus, ones,
+                      solve_constrained)
 from tropspan.scheduling import _latest_columns
 from support import (COMBINED, SS_STAR, START_FINISH, START_START, col, is_irreducible,
                      mp, potential_start_start, random_feasible_constraint,
@@ -560,3 +561,59 @@ def test_latest_schedule_refuses_operands_as_matmul_does(closure, start_finish, 
     with pytest.raises(error, match=f"^{message}$"):
         latest_schedule(report, closure, start_finish)
 
+
+# ----------------------------------------------------------------------
+# ROADMAP item 18: no library answer outside the carrier.  Each probe
+# below sums entries near the float range; the contract is values that
+# pass `sf.contains`, or a typed refusal other than `NotIrreducible`.
+# Until item 18 lands, each fails as its `raises=` says.
+
+def assert_in_carrier_or_refused(sf, call):
+    try:
+        result = call()
+    except NotIrreducible:
+        raise
+    except TropicalError:
+        return
+    reports = result if isinstance(result, tuple) else (result,)
+    values = []
+    for part in reports:
+        if isinstance(part, Matrix):
+            values += [v for row in part.data for v in row]
+        else:
+            values += [part.delta, *(v for _, bounds in part.bounds for v in bounds)]
+    assert all(map(sf.contains, values)), values
+
+
+def four_cycle(a, b, c, d):
+    return Matrix(max_plus, [[None, a, None, None], [None, None, b, None],
+                             [None, None, None, c], [d, None, None, None]])
+
+
+@pytest.mark.xfail(strict=True, raises=NotIrreducible,
+                   reason="ROADMAP item 18: the closure sums to inf")
+def test_feasible_cycle_near_the_float_range_is_not_refused_as_reducible():
+    c = four_cycle(1e308, 1e308, -1e308, -1e308)   # weighs 0: feasible, strongly connected
+    assert_in_carrier_or_refused(max_plus, lambda: max_initiation_spread(c))
+    assert_in_carrier_or_refused(max_plus, lambda: asterate(c))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: delta sums to inf")
+def test_completion_spread_near_the_float_range_gives_no_infinite_delta():
+    a = Matrix(max_plus, [[1e308, -1e308], [-1e308, 1e308]])
+    assert_in_carrier_or_refused(max_plus, lambda: max_completion_spread(a))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: delta is an int beyond the float range")
+def test_completion_spread_of_ints_near_the_float_range_stays_in_the_carrier():
+    a = Matrix(max_plus, [[10 ** 308, -10 ** 308], [-10 ** 308, 10 ** 308]])
+    assert_in_carrier_or_refused(max_plus, lambda: max_completion_spread(a))
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="ROADMAP item 18: an int sum past the float range meets -inf")
+def test_closure_of_a_cycle_of_large_negative_ints_raises_no_overflow():
+    b = -10 ** 308
+    assert_in_carrier_or_refused(max_plus, lambda: asterate(four_cycle(b, b, b, b)))

@@ -41,7 +41,7 @@ def test_max_plus_mul():
 def test_max_plus_inv():
     assert max_plus.inv(7) == -7
     assert max_plus.inv(0) == 0
-    with pytest.raises(InversionOfZero):
+    with pytest.raises(InversionOfZero, match=r"^the max-plus zero \(-inf\) has no inverse$"):
         max_plus.inv(NEG_INF)
 
 
@@ -60,10 +60,19 @@ def test_other_instances_pinned():
     assert max_times.add(3, 5) == 5
     assert max_times.mul(3, 5) == 15
     assert max_times.inv(4) == 0.25
-    with pytest.raises(InversionOfZero):
+    with pytest.raises(InversionOfZero, match=r"^the min-plus zero \(\+inf\) has no inverse$"):
         min_plus.inv(math.inf)
-    with pytest.raises(InversionOfZero):
+    with pytest.raises(InversionOfZero, match=r"^the max-times zero \(0\) has no inverse$"):
         max_times.inv(0)
+
+
+@pytest.mark.parametrize("sf", (max_plus, min_plus), ids=lambda sf: sf.name)
+@given(row=st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.just(-0.0),
+                              st.floats(allow_nan=False, allow_infinity=False))))
+def test_vector_inverse_matches_inv_on_rows_without_zero(sf, row):
+    """`_invs` skips `inv`'s 𝟘 test, as its callers refuse 𝟘 first; on
+    any other row it gives `inv`'s values, types and signs of zero."""
+    assert list(map(repr, sf._invs(row))) == list(map(repr, map(sf.inv, row)))
 
 
 def test_max_times_inv_refuses_an_inverse_beyond_the_float_range():
@@ -212,6 +221,19 @@ def test_max_plus_star_with_a_tail_matches_the_loop_and_product(case):
     expected = star_or_refusal(lambda r: closure_then_product(r, tail), rows)
     assert star_or_refusal(lambda r: max_plus.star(r, tail), rows) == expected
     assert star_or_refusal(lambda r: Semifield.star(max_plus, r, tail), rows) == expected
+
+
+@pytest.mark.parametrize("n", (1, 3))
+@pytest.mark.parametrize("tail", ("none", "ints", "zeros"))
+def test_max_plus_star_of_an_all_zero_matrix_matches_the_loop(n, tail):
+    """C with no finite entry closes to I, with the int 𝟙 on the diagonal,
+    and tail ⊗ I is the tail, whether or not an int tail makes the
+    call packed."""
+    rows = [[NEG_INF] * n for _ in range(n)]
+    tail = {"none": [], "ints": [[3, *[NEG_INF] * (n - 1)], [-7] * n],
+            "zeros": [[NEG_INF] * n]}[tail]
+    assert ([typed(r) for r in max_plus.star(rows, tail)]
+            == [typed(r) for r in Semifield.star(max_plus, rows, tail)])
 
 
 def test_max_plus_star_refuses_before_any_tail_row():
