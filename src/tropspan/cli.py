@@ -237,10 +237,11 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     texts once, keyed by its row s, and the pairs are walked with no
     `BoxFamily` built.  Under `--latest`, `_latest_columns` applies its
     rule to those shifted vectors; a schedule whose x_j equals a row's
-    reuses that row's texts, since `_fmt` gives equal values equal
-    texts.  The 1-based index texts and the heads of a family and of a
-    pair for each index are built once: a family is then four list
-    items and a pair one concatenation, with no template fill.
+    reuses that row's texts, and in json its joined list, since `_fmt`
+    gives equal values equal texts.  The 1-based index texts and the
+    heads of a family and of a pair for each index are built once: a
+    family is then four list items and a pair one concatenation, with
+    no template fill.
     """
     # an int 0 shift (`_number` makes every zero alpha the int 0) keeps
     # each value and type; it could only turn a float -0.0 into 0.0, and
@@ -248,8 +249,8 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     shifted = {s: tuple(map(max_plus.mul, repeat(alpha), bounds)) if alpha else bounds
                for s, bounds in report.bounds}
     texts = {s: _texts(member) for s, member in shifted.items()}
-    # under --latest, each schedule's initiation and completion texts
-    schedules = [(_texts(x) if s is None else texts[s], None if y is None else _texts(y))
+    # under --latest, each schedule's row s (or None) and its initiation and completion texts
+    schedules = [(s, _texts(x) if s is None else texts[s], None if y is None else _texts(y))
                  for x, y, s in _latest_columns(max_plus, report.bounds, lambda s, _: shifted[s],
                                                 closure, completion_matrix)] if latest else []
     # every index a report holds is below n: its problem is n×n
@@ -271,9 +272,10 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
         pair_heads = ['{\n      "k": ' + label + ',\n      "s": ' for label in labels]
         pair_tails = [label + "\n    }" for label in labels]
         pairs = [pair_heads[k] + pair_tails[s] for k, s in report.pairs]
-        entries = [_SCHEDULE % (_list_text(x, "      "), "" if y is None else
+        entries = [_SCHEDULE % (_list_text(x, "      ") if s is None else lists[s],
+                                "" if y is None else
                                 f'\n      "completion": {_list_text(y, "      ")},', delta)
-                   for x, y in schedules]
+                   for s, x, y in schedules]
         return _DOCUMENT % ("ok", delta, _list_text(pairs, "  "), families,
                             _list_text(entries, "  "))
     var = "u" if closure is not None else "x"
@@ -286,7 +288,7 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
         row = parts[s]
         pinned = f"{var}{labels[k]} = {texts[s][k]}"
         lines.append(heads[k] + labels[s] + ": " + ", ".join([*row[:k], pinned, *row[k + 1:]]))
-    for x, y in schedules:
+    for _, x, y in schedules:
         piece = f"schedule: initiation = ({', '.join(x)})"
         if y is not None:
             piece += f", completion = ({', '.join(y)})"

@@ -56,12 +56,10 @@ The max-plus and min-plus base overrides `_invs` by `map` over
 the same values.  Two run on builtins: `sum` is `max`, and `dot` `max`
 over `operator.add`, for any number type.  Its `product` writes
 max(r) + max(c) without a scan wherever r and c attain their maxima at
-a common index, when both operands hold only ints (one type scan over
-both), the right one has at least three columns, and the argmax entries
-are many: with R rows, C columns and inner dimension n, (row
-argmaxes)·(column argmaxes) ≥ 4n(R + C), the point where the masks'
-cost meets the dots they save; other entries, and other operands, take
-one `dot` each.  In `sum` and `dot`, as in the fold's `add(acc, …)`,
+a common index, on two conditions it observes: both operands hold only
+ints (one type scan over both), and the right one has at least three
+columns; other entries, and other operands, take one `dot` each.  In
+`sum` and `dot`, as in the fold's `add(acc, …)`,
 the left operand wins a tie: `max` keeps the earlier of equal terms;
 in `star`, c_ij wins over c_ik ⊗ c_kj.  Ties matter: an int and an
 equal float (2**60 and 2.0**60) compare equal but print differently.
@@ -300,24 +298,16 @@ class _MaxPlus(_Tropical):
 
     def product(self, rows, cols):
         # Every term r_l + c_l is at most max(r) + max(c), and an index l
-        # where both maxima sit (the argmax bitmasks intersect) attains it.
-        # With ints only no term is an equal float that would have to win
-        # the tie.  The masks pay only where they often meet: a row's or a
-        # column's type check, maximum and mask cost about as much as two or
-        # three dots.  Were the argmax positions independent and uniform, a
-        # row and a column would meet in about (row argmaxes)·(column
-        # argmaxes)/n of the R·C entries; the masks are built when that
-        # estimate reaches 4(R + C).
-        if len(cols) < 3:
-            return super().product(rows, cols)
-        col_tops = list(map(max, cols))
-        row_tops = list(map(max, rows))
-        if (sum(map(operator.countOf, rows, row_tops))
-                * sum(map(operator.countOf, cols, col_tops))
-                < 4 * len(cols[0]) * (len(rows) + len(cols))
-                or set(map(type, chain(*cols, *rows))) != {int}):
+        # where both maxima sit (the argmax bitmasks meet) attains it.  The
+        # masks run on what the operands show: only ints, so no term is an
+        # equal float that would have to win the tie, and three or more
+        # columns, below which a row's mask costs more than the dots it
+        # saves.  An entry whose masks miss, and any other product, takes
+        # one `dot`.
+        if len(cols) < 3 or set(map(type, chain(*cols, *rows))) != {int}:
             return super().product(rows, cols)
         dot = self.dot
+        col_tops, row_tops = list(map(max, cols)), list(map(max, rows))
         by_col = list(zip(cols, col_tops, map(_argmax_mask, cols, col_tops)))
         return tuple(tuple([r_top + top if r_mask & mask else dot(r, c)
                             for c, top, mask in by_col])

@@ -82,6 +82,9 @@ FAULTS = [
     ("star-bound-from-max", SEMIRING,
      STAR_BIAS, "b = 2 * n * max(extremes) + 1",
      "the packed star takes M from the largest entry, not the largest |entry|"),
+    ("masks-join", SEMIRING,
+     "r_mask & mask", "r_mask | mask",
+     "max-plus `product` writes max(r) + max(c) into every entry of an int product"),
 ]
 
 

@@ -284,18 +284,47 @@ def test_asterate_does_at_most_n_cubed_products():
     assert Matrix.identity(max_plus, n).leq(closure)
 
 
-def test_product_makes_one_dot_call_per_entry():
-    """Only 14 entries of a's rows and 18 of b's columns are their vector's
-    maximum, and 14·18 is below 4n(R + C) = 1152, so `max_plus.product`
-    does not look for entries where a row's and a column's maxima meet:
-    each of the n² entries is one `dot`."""
+def _dot_calls(rows, cols):
+    """The (i, j) of each `dot` that `max_plus.product(rows, cols)` makes, in
+    order, after checking its result against the generic loop's."""
+    at_row = {id(r): i for i, r in enumerate(rows)}
+    at_col = {id(c): j for j, c in enumerate(cols)}
+    calls = []
+    dot = max_plus.dot
+
+    def spy(r, c):
+        calls.append((at_row[id(r)], at_col[id(c)]))
+        return dot(r, c)
+
+    max_plus.dot = spy
+    try:
+        out = max_plus.product(rows, cols)
+    finally:
+        del max_plus.dot
+    assert out == Semifield.product(max_plus, rows, cols)
+    return calls
+
+
+def test_product_dots_exactly_where_the_argmax_masks_miss():
+    """`max_plus.product` looks for entries where a row's and a column's
+    maxima meet only when both operands hold ints alone and the right one
+    has three or more columns.  A 2-column int product, and a 12-column
+    one that holds a float, make one `dot` per entry; a 12-column int
+    product makes one for exactly the entries whose argmax masks miss."""
     n = 12
     rng = random.Random(5)
-    a, b = (mp([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-            for _ in range(2))
-    with counted_products() as counts:
-        a @ b
-    assert counts["dot"] == n * n and counts["mul"] == n ** 3
+    rows, cols = ([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                  for _ in range(2))
+    every = [(i, j) for i in range(n) for j in range(n)]
+    assert _dot_calls(rows, cols[:2]) == [(i, j) for i in range(n) for j in range(2)]
+    floated = [r[:4] + [r[4] + 0.5] + r[5:] if i == 3 else r for i, r in enumerate(rows)]
+    assert _dot_calls(floated, cols) == every
+    floated = [c[:4] + [c[4] + 0.5] + c[5:] if j == 3 else c for j, c in enumerate(cols)]
+    assert _dot_calls(rows, floated) == every
+    misses = [(i, j) for i, j in every
+              if not any(v == max(rows[i]) and w == max(cols[j]) for v, w in zip(rows[i], cols[j]))]
+    assert 0 < len(misses) < n * n
+    assert _dot_calls(rows, cols) == misses
 
 
 def test_product_skips_dot_where_row_and_column_maxima_meet():
@@ -310,6 +339,32 @@ def test_product_skips_dot_where_row_and_column_maxima_meet():
             a @ x
         assert counts["dot"] <= most_dots
         assert counts["mul"] == n * n + (n - 1) * counts["dot"]
+
+
+_BIG = 2 ** 60
+_PRODUCT_ENTRIES = {
+    # ints with few ties at a row's or a column's maximum
+    "wide ints": lambda rng: rng.randint(-10 ** 6, 10 ** 6),
+    "ints near ±2**60": lambda rng: rng.choice((_BIG, -_BIG)) + rng.randint(-2, 2),
+    # an int and an equal float tie: the left operand must win, as in the loop
+    "2**60 beside 2.0**60": lambda rng: rng.choice((_BIG, 2.0 ** 60, _BIG - 1)),
+}
+
+
+@pytest.mark.parametrize("kind", _PRODUCT_ENTRIES)
+def test_max_plus_product_matches_the_generic_loop(kind):
+    """`max_plus.product` against `Semifield.product`, by value and type,
+    on R×n rows and C×n columns with R and C in 3..40 and n in 1..40."""
+    rng = random.Random(kind)
+    entry = _PRODUCT_ENTRIES[kind]
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        rows, cols = ([[entry(rng) for _ in range(n)] for _ in range(rng.randint(3, 40))]
+                      for _ in range(2))
+        shape = (len(rows), n, len(cols))
+        assert ([[(v, type(v)) for v in r] for r in max_plus.product(rows, cols)]
+                == [[(v, type(v)) for v in r]
+                    for r in Semifield.product(max_plus, rows, cols)]), shape
 
 
 def _typed(m):
@@ -332,11 +387,11 @@ def _mixed(rng, v):
 def _product_cases(rng, n):
     """Operand pairs for a product with n rows on the right: n×n, n×1 and n×d.
 
-    With three or more columns, all-tied, {0,1,2} and lo..lo+3 integers
-    pass the gate of `max_plus.product`; tie-free integers do not.  The
-    others hold 𝟘 or floats tied with equal ints, where the left operand
-    of a tie must win, so the product's value type depends on which
-    index of a tie comes first.
+    With three or more columns, the integer kinds (all-tied, {0,1,2},
+    lo..lo+3 and tie-free) take the masks of `max_plus.product`, which
+    seldom meet on tie-free integers.  The others hold 𝟘 or floats tied
+    with equal ints, where the left operand of a tie must win, so the
+    product's value type depends on which index of a tie comes first.
     """
     lo = rng.randint(-20, 20)
     kinds = {
@@ -351,7 +406,7 @@ def _product_cases(rng, n):
         for name, entry in kinds.items():
             yield (f"{name} {n}x{width}", [[entry() for _ in range(n)] for _ in range(n)],
                    [[entry() for _ in range(width)] for _ in range(n)])
-        # distinct entries in every row and column: one argmax each, too few for the gate
+        # distinct entries in every row and column: one argmax each, so the masks seldom meet
         yield (f"tie-free {n}x{width}", [rng.sample(range(-n * n, n * n), n) for _ in range(n)],
                [list(r) for r in zip(*(rng.sample(range(-n * n, n * n), n)
                                        for _ in range(width)))])
@@ -448,10 +503,11 @@ def test_star_of_ints_and_floats_takes_the_generic_loop():
 
 def test_products_of_constrained_operands_match_the_generic_loop():
     """The products of `combined --latest` at n 12–28: C* ⊗ X and
-    A ⊗ (C* ⊗ X), with a column of X per distinct schedule; each entry is
-    one `dot`.  A ⊗ C* is not a product: the closure pass forms it, and
-    the differential tests of `max_plus.star` with tail rows and of
-    `solve_constrained` check it."""
+    A ⊗ (C* ⊗ X), with a column of X per distinct schedule.  Each has one
+    column, below the three that `max_plus.product`'s masks need, so each
+    entry is one `dot`.  A ⊗ C* is not a product: the closure pass forms
+    it, and the differential tests of `max_plus.star` with tail rows and
+    of `solve_constrained` check it."""
     rng = random.Random(27)
     products = []
     product = max_plus.product
