@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .errors import InvariantViolation, TrConditionViolated, TropicalError
 from .matvec import Matrix
@@ -207,9 +207,7 @@ def _dispatch(command: str, start_finish: Matrix | None, start_start: Matrix | N
     return report, closure, start_finish
 
 
-_DOCUMENT = ('{\n  "status": "%s",\n  "delta": %s,\n  "pairs": %s,\n'
-             '  "families": %s,\n  "schedules": %s\n}\n')
-_SCHEDULE = '{\n      "initiation": %s,%s\n      "span": %s\n    }'
+_CHUNK = 16_384   # pieces of `_render` per write of `main`; see `_render`
 
 
 def _list_text(items: list, indent: str) -> str:
@@ -225,23 +223,37 @@ def _texts(values) -> list[str]:
 
 
 def _render_status(status: str, fmt: str) -> str:
-    return (_DOCUMENT % (status, "null", "[]", "[]", "[]") if fmt == "json"
+    return (f'{{\n  "status": "{status}",\n  "delta": null,\n  "pairs": [],\n'
+            f'  "families": [],\n  "schedules": []\n}}\n' if fmt == "json"
             else f"status: {status}\n")
 
 
-def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
-    """The json or text output of a solved run, written straight from the report.
+def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> list[str]:
+    """The json or text output of a solved run, as pieces to join, written
+    straight from the report.
 
     The writer owns the shifted bounds.  `report.bounds` holds each
-    row's vector once, so each is shifted by alpha and turned into
-    texts once, keyed by its row s, and the pairs are walked with no
-    `BoxFamily` built.  Under `--latest`, `_latest_columns` applies its
-    rule to those shifted vectors; a schedule whose x_j equals a row's
-    reuses that row's texts, and in json its joined list, since `_fmt`
-    gives equal values equal texts.  The 1-based index texts and the
-    heads of a family and of a pair for each index are built once: a
-    family is then four list items and a pair one concatenation, with
-    no template fill.
+    row's vector once, so each is shifted and turned into texts once,
+    keyed by its row s, and the pairs are walked with no `BoxFamily`
+    built.  Under `--latest`, `_latest_columns` applies its rule to
+    those shifted vectors; a schedule whose x_j equals a row's reuses
+    that row's texts, and in json its joined list, since `_fmt` gives
+    equal values equal texts.
+
+    The output is one list of pieces, nearly all of them strings shared
+    among the pairs, so the document is never held as one string: an
+    all-tied n×n project has n² families and Θ(n³) numbers.  The
+    per-index heads, each row's bounds text and the pinned texts are
+    built once, so a json pair is three pieces and a json family four,
+    each item followed by its separator, which the list's close replaces
+    after its last item.  A text family is the line of its row s with
+    "<=" made "=" at k.  The row's line is cut into blocks of n/√F
+    indices, F the families per row, and the texts before and after k's
+    block are shared by the families of that block, so a family adds
+    only the two slices inside its block.  `main` writes the pieces in
+    joins of `_CHUNK`, so that one write's text and its encoding stay a
+    few MB even at all-tied n = 160, where the document is 48.6 MB,
+    while the documents of the benchmark's workloads remain one write.
     """
     # an int 0 shift (`_number` makes every zero alpha the int 0) keeps
     # each value and type; it could only turn a float -0.0 into 0.0, and
@@ -259,41 +271,63 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> str:
     delta = _fmt(report.delta)
     if fmt == "json":
         lists = {s: _list_text(values, "      ") for s, values in texts.items()}
-        bounds = {s: ',\n      "upper_bounds": ' + text for s, text in lists.items()}
+        bounds = {s: ',\n      "upper_bounds": ' + text + "\n    }" for s, text in lists.items()}
         heads = ['{\n      "pinned_index": ' + label + ',\n      "pinned_value": '
                  for label in labels]
-        # a family is its head, its pinned text and its row's bounds text:
-        # shared strings, joined once with the rest instead of copied
-        pieces, sep = [], "[\n    "
-        for k, s in report.pairs:
-            pieces += (sep, heads[k], texts[s][k], bounds[s])
-            sep = "\n    },\n    "
-        families = "".join(pieces) + "\n    }\n  ]" if pieces else "[]"
         pair_heads = ['{\n      "k": ' + label + ',\n      "s": ' for label in labels]
         pair_tails = [label + "\n    }" for label in labels]
-        pairs = [pair_heads[k] + pair_tails[s] for k, s in report.pairs]
-        entries = [_SCHEDULE % (_list_text(x, "      ") if s is None else lists[s],
-                                "" if y is None else
-                                f'\n      "completion": {_list_text(y, "      ")},', delta)
-                   for s, x, y in schedules]
-        return _DOCUMENT % ("ok", delta, _list_text(pairs, "  "), families,
-                            _list_text(entries, "  "))
+        # a solved report holds at least one pair
+        out = ['{\n  "status": "ok",\n  "delta": ', delta, ',\n  "pairs": [\n    ']
+        for k, s in report.pairs:
+            out += (pair_heads[k], pair_tails[s], ",\n    ")
+        out[-1] = '\n  ],\n  "families": [\n    '
+        for k, s in report.pairs:
+            out += (heads[k], texts[s][k], bounds[s], ",\n    ")
+        out[-1] = '\n  ],\n  "schedules": '
+        if not schedules:
+            out.append("[]\n}\n")
+            return out
+        out.append("[\n    ")
+        for s, x, y in schedules:
+            out += ('{\n      "initiation": ', _list_text(x, "      ") if s is None else lists[s])
+            if y is not None:
+                out += (',\n      "completion": ', _list_text(y, "      "))
+            out += (',\n      "span": ', delta, "\n    },\n    ")
+        out[-1] = "\n    }\n  ]\n}\n"
+        return out
     var = "u" if closure is not None else "x"
-    # each row's "x_j <= b_j" parts once; a family swaps in "=" at its pinned index
-    parts = {s: [f"{var}{label} <= {b}" for label, b in zip(labels, values)]
-             for s, values in texts.items()}
+    # blocks of n/√F indices for F families per row: √n on all-tied input
+    width = max(1, round(n * (len(texts) / len(report.pairs)) ** 0.5))
+    # each row's line, "x1 <= b1, ..., xn <= bn", once, with each index's
+    # start and end in it and, per index, its block's edges and the shared
+    # texts before and after the block (the first holding "s: ")
+    lines = {}
+    for s, values in texts.items():
+        parts = [f"{var}{label} <= {b}" for label, b in zip(labels, values)]
+        line = ", ".join(parts) + "\n"
+        starts = [0, *accumulate(len(part) + 2 for part in parts)]
+        ends = [start + len(part) for start, part in zip(starts, parts)]
+        blocks = []
+        for first in range(0, n, width):
+            last = min(first + width, n) - 1
+            block = (starts[first], ends[last],
+                     labels[s] + ": " + line[:starts[first]], line[ends[last]:])
+            blocks += repeat(block, last - first + 1)
+        lines[s] = line, starts, ends, blocks
     heads = [f"family k={label} s=" for label in labels]
-    lines = ["status: ok", f"delta: {delta}"]
+    pins = [f"{var}{label} = " for label in labels]
+    out = ["status: ok\ndelta: ", delta, "\n"]
     for k, s in report.pairs:
-        row = parts[s]
-        pinned = f"{var}{labels[k]} = {texts[s][k]}"
-        lines.append(heads[k] + labels[s] + ": " + ", ".join([*row[:k], pinned, *row[k + 1:]]))
+        line, starts, ends, blocks = lines[s]
+        lo, hi, before, after = blocks[k]
+        out += (heads[k], before, line[lo:starts[k]], pins[k], texts[s][k],
+                line[ends[k]:hi], after)
     for _, x, y in schedules:
-        piece = f"schedule: initiation = ({', '.join(x)})"
+        out += ("schedule: initiation = (", ", ".join(x), ")")
         if y is not None:
-            piece += f", completion = ({', '.join(y)})"
-        lines.append(piece + f", span = {delta}")
-    return "\n".join(lines) + "\n"
+            out += (", completion = (", ", ".join(y), ")")
+        out += (", span = ", delta, "\n")
+    return out
 
 
 def main(argv=None) -> int:
@@ -319,8 +353,9 @@ def main(argv=None) -> int:
         sys.stdout.write(_render_status("invalid_input", args.format))
         return EXIT_INVALID
 
-    sys.stdout.write(_render(report, closure, completion_matrix, args.alpha, args.latest,
-                             args.format))
+    out = _render(report, closure, completion_matrix, args.alpha, args.latest, args.format)
+    for i in range(0, len(out), _CHUNK):
+        sys.stdout.write("".join(out[i:i + _CHUNK]))
     return EXIT_OK
 
 

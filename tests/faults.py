@@ -37,8 +37,14 @@ TIE_ROWS = "list(compress(range(len(w)), map(eq, w_cols[k], repeat(col_right[k])
 
 FAULTS = [
     ("pairs-swapped", CLI,
-     "pair_heads[k] + pair_tails[s]", "pair_heads[s] + pair_tails[k]",
+     "(pair_heads[k], pair_tails[s],", "(pair_heads[s], pair_tails[k],",
      "the writer prints each pair with k and s swapped"),
+    ("chunk-drops-last-piece", CLI,
+     "out[i:i + _CHUNK]", "out[i:i + _CHUNK - 1]",
+     "each bounded write of the output leaves out the last piece of its run"),
+    ("text-block-of-previous-index", CLI,
+     "blocks[k]", "blocks[k - 1]",
+     "a text family takes the block edges and shared texts of index k - 1"),
     ("infeasibility-off", SEMIRING,
      "if ckk > b:", "if False:",
      "the packed star never refuses a positive cycle"),

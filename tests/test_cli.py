@@ -460,8 +460,8 @@ def test_writer_matches_the_reference_documents(monkeypatch):
             for latest in (False, True):
                 doc = document(report, closure, completion, alpha, latest)
                 args = (report, closure, completion, alpha, latest)
-                assert _render(*args, "json") == json.dumps(doc, indent=2) + "\n"
-                assert _render(*args, "text") == text(doc, closure is not None)
+                assert "".join(_render(*args, "json")) == json.dumps(doc, indent=2) + "\n"
+                assert "".join(_render(*args, "text")) == text(doc, closure is not None)
                 count += 1
     assert count == (3 * 25 + 8) * 4
     assert None in named and any(s is not None for s in named)
@@ -469,6 +469,77 @@ def test_writer_matches_the_reference_documents(monkeypatch):
         doc = status_document(status)
         assert _render_status(status, "json") == json.dumps(doc, indent=2) + "\n"
         assert _render_status(status, "text") == text(doc, False)
+
+
+class _Sink:
+    """A stdout that keeps each write, or with `keep` false only their sizes."""
+
+    def __init__(self, keep=True):
+        self.keep, self.writes, self.size = keep, [], 0
+
+    def write(self, text):
+        self.size += len(text)
+        if self.keep:
+            self.writes.append(text)
+        return len(text)
+
+
+def _large_project(tmp_path, kind, n=80):
+    """The argv of an `--latest` run at n = 80: sf on an all-tied or a
+    narrow 0..2 matrix, or combined on a narrow one over a sparse
+    potential-based C."""
+    rng = random.Random(f"{kind}:{n}")
+    a = ([[0] * n for _ in range(n)] if kind == "tied"
+         else [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+    doc = {"n": n, "start_finish": a}
+    if kind == "combined":
+        doc["start_start"] = potential_start_start(rng, n, 0.3)[0]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    return ["combined" if kind == "combined" else "sf", "--input", str(path), "--latest"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("kind,chunk", [("tied", None), ("combined", None), ("combined", 7)])
+def test_main_writes_the_reference_document_in_bounded_joins(tmp_path, monkeypatch,
+                                                             kind, chunk, fmt):
+    # all-tied n = 80 renders about 45k pieces, several default chunks, and
+    # this combined run about 16k, one chunk; a chunk of 7 puts a write
+    # boundary inside every pair, family and schedule
+    if chunk is not None:
+        monkeypatch.setattr("tropspan.cli._CHUNK", chunk)
+    from tropspan.cli import _CHUNK, _load_project
+    argv = [*_large_project(tmp_path, kind), "--alpha", "3", "--format", fmt]
+    report, closure, completion = _dispatch(argv[0], *_load_project(argv[2], 3))
+    doc = document(report, closure, completion, 3, True)
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == EXIT_OK
+    pieces = len(_render(report, closure, completion, 3, True, fmt))
+    assert len(sink.writes) == -(-pieces // _CHUNK)
+    assert (len(sink.writes) > 1) == (kind == "tied" or chunk is not None)
+    assert "".join(sink.writes) == (json.dumps(doc, indent=2) + "\n" if fmt == "json"
+                                    else text(doc, closure is not None))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("kind", ["tied", "narrow"])
+def test_output_peaks_below_twice_the_document(tmp_path, monkeypatch, kind, fmt):
+    # the output is held once, as pieces mostly shared among the families,
+    # and written in bounded joins: no whole-document string is made
+    import tracemalloc
+    argv = [*_large_project(tmp_path, kind), "--format", fmt]
+    sized = _Sink(keep=False)
+    monkeypatch.setattr(sys, "stdout", sized)
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(sys, "stdout", _Sink(keep=False))
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sized.size
 
 
 @pytest.mark.parametrize("kind", ["tied", "narrow", "combined"])
