@@ -6,9 +6,10 @@ Subcommands
     combined  completion-time span under both constraint kinds
 
 The input file is a UTF-8 json document {"n": ..., "start_finish": [[...]],
-"start_start": [[...]]} of square arrays.  An entry or --alpha must be
-a max-plus carrier element other than -inf, that is, a finite number
-within the float range; only start_start admits null, for no lag.
+"start_start": [[...]]} of square arrays, with or without a leading byte
+order mark.  An entry or --alpha must be a max-plus carrier element
+other than -inf, that is, a finite number within the float range; only
+start_start admits null, for no lag.
 Results go to stdout as json (default) or text, diagnostics to stderr.
 Exit status: 0 solved, 2 infeasible constraints, 3 input violating a
 solver precondition, 4 unparseable input or numbers too large to compute with.
@@ -93,7 +94,7 @@ def _load_project(path: str, alpha) -> tuple[Matrix | None, Matrix | None]:
     """The start-finish and start-start matrices in the file at `path`,
     either None where absent, once every check of the file has passed."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
@@ -142,29 +143,27 @@ def _parse_matrix(raw: dict, key: str, n: int, path: str,
     passes `_admits`, with null mapped to 𝟘 where admitted.
 
     The checks run on the whole matrix: one shape test over the rows,
-    then, on its entries flattened in row-major order, one `contains_all`
-    over the numbers, one test for 𝟘 and one `max` of |entry|.  On ints
-    alone, `_int_extremes`, the rule `contains_all` itself applies,
-    gives the min and the max: `contains_all` and `max` see only those,
-    and the 𝟘 test is skipped, as no int is the max-plus 𝟘.  Only when
-    a check fails are the rows walked in order, and the first faulty
-    row gives the message: its shape, or else its first refused entry."""
+    then, on its entries flattened in row-major order, `_admits` on each
+    number and one `max` of |entry|.  On ints alone, `_int_extremes`
+    gives the min and the max, and `_admits` and `max` see only those:
+    the ints `_admits` takes form one interval, [-M, M] for M the
+    largest float.  Only when a check fails are the rows walked in
+    order, and the first faulty row gives the message: its shape, or
+    else its first refused entry."""
     rows = raw.get(key)
     if rows is None:
         return None, 0
     if not isinstance(rows, list) or len(rows) != n:
         raise _ParseFailure(f"{path}: '{key}' must be a list of {n} rows")
-    zero = max_plus.zero
     if all(map(isinstance, rows, repeat(list))) and set(map(len, rows)) == {n}:
         flat = list(chain.from_iterable(rows))
         # admitted nulls (every start_start row has one: a project has no
-        # self-lags) stay out of the check; any other null fails contains_all
+        # self-lags) stay out of the check; any other null fails `_admits`
         values = [v for v in flat if v is not None] if allow_null and None in flat else flat
-        extremes = _int_extremes(values)
-        checked = values if extremes is None else extremes
-        if max_plus.contains_all(checked) and (extremes is not None or zero not in values):
+        checked = _int_extremes(values) or values
+        if all(map(_admits, checked)):
             if values is not flat:
-                rows = [[zero if v is None else v for v in row] if None in row else row
+                rows = [[max_plus.zero if v is None else v for v in row] if None in row else row
                         for row in rows]
             # admitted entries and 𝟘 pass every check of the constructor; max
             # keeps the first of equal |entries|, and 0 where all are 0
@@ -216,9 +215,8 @@ def _list_text(items: list, indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
 
 
-def _texts(values) -> list[str]:
-    """The json and text form of each number: `repr` on a list of ints, else `_fmt`."""
-    values = list(values)
+def _texts(values: tuple) -> list[str]:
+    """The json and text form of each number of a tuple: `repr` on ints alone, else `_fmt`."""
     return list(map(_fmt if float in map(type, values) else repr, values))
 
 
@@ -265,8 +263,9 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> list
     schedules = [(s, _texts(x) if s is None else texts[s], None if y is None else _texts(y))
                  for x, y, s in _latest_columns(max_plus, report.bounds, lambda s, _: shifted[s],
                                                 closure, completion_matrix)] if latest else []
-    # every index a report holds is below n: its problem is n×n
-    n = len(report.bounds[0][1]) if report.bounds else 0
+    # a solved report holds at least one pair, so a row of bounds; every
+    # index it holds is below n, as its problem is n×n
+    n = len(report.bounds[0][1])
     labels = list(map(str, range(1, n + 1)))
     delta = _fmt(report.delta)
     if fmt == "json":
@@ -276,7 +275,6 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> list
                  for label in labels]
         pair_heads = ['{\n      "k": ' + label + ',\n      "s": ' for label in labels]
         pair_tails = [label + "\n    }" for label in labels]
-        # a solved report holds at least one pair
         out = ['{\n  "status": "ok",\n  "delta": ', delta, ',\n  "pairs": [\n    ']
         for k, s in report.pairs:
             out += (pair_heads[k], pair_tails[s], ",\n    ")
@@ -296,8 +294,9 @@ def _render(report, closure, completion_matrix, alpha, latest, fmt: str) -> list
         out[-1] = "\n    }\n  ]\n}\n"
         return out
     var = "u" if closure is not None else "x"
-    # blocks of n/√F indices for F families per row: √n on all-tied input
-    width = max(1, round(n * (len(texts) / len(report.pairs)) ** 0.5))
+    # blocks of n/√F indices for F families per row: F ≤ n, so at least
+    # √n ≥ 1 index, and √n on all-tied input
+    width = round(n * (len(texts) / len(report.pairs)) ** 0.5)
     # each row's line, "x1 <= b1, ..., xn <= bn", once, with each index's
     # start and end in it and, per index, its block's edges and the shared
     # texts before and after the block (the first holding "s: ")

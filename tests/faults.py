@@ -91,6 +91,12 @@ FAULTS = [
     ("masks-join", SEMIRING,
      "r_mask & mask", "r_mask | mask",
      "max-plus `product` writes max(r) + max(c) into every entry of an int product"),
+    ("admits-skips-first", CLI,
+     "all(map(_admits, checked))", "all(map(_admits, checked[1:]))",
+     "the CLI's matrix parse admits its first number, or an all-int matrix's min, unchecked"),
+    ("bom-not-skipped", CLI,
+     '"utf-8-sig"', '"utf-8"',
+     "the CLI refuses a UTF-8 input file that starts with a byte order mark"),
 ]
 
 

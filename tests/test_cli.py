@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import random
+import re
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -16,7 +18,7 @@ from tropspan.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_PARSE, _b
                           _dispatch, _ParseFailure, _render, _render_status, main)
 from tropspan.scheduling import _latest_columns
 from oracles import document, status_document, text
-from support import (build_parser_by_subcommand, counted_products, dump_project,
+from support import (ROOT, build_parser_by_subcommand, counted_products, dump_project,
                      parse_matrix_by_rows, potential_start_start, random_feasible_constraint,
                      run_python)
 
@@ -812,9 +814,23 @@ def test_input_is_read_as_utf8_whatever_the_locale():
     assert proc.stdout == (GOLDEN / "ex1.json").read_text()
 
 
-def test_installed_entry_point_runs():
-    proc = run_cli(["sf", "--input", str(DATA / "ex1.json")])
-    assert proc.returncode == EXIT_OK
+def test_a_byte_order_mark_is_read_as_utf8(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / "ex1.json").read_bytes())
+    assert main(["sf", "--input", str(path), "--latest"]) == EXIT_OK
+    assert capsys.readouterr() == ((GOLDEN / "ex1.json").read_text(), "")
+
+
+def test_installed_entry_point_runs(monkeypatch, capsys):
+    # the callable pyproject.toml installs as `tropspan`, found by a regex
+    # (tomllib needs Python 3.11) and called as the installed script calls
+    # it: with no arguments, on sys.argv
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^\[project\.scripts\]\ntropspan = "([\w.]+):(\w+)"$',
+                             pyproject, re.M).groups()
+    monkeypatch.setattr(sys, "argv", ["tropspan", *GOLDEN_RUNS[0][1]])
+    assert getattr(importlib.import_module(module), name)() == EXIT_OK
+    assert capsys.readouterr() == ((GOLDEN / "ex1.json").read_text(), "")
 
 
 # an int and an equal float beyond 2^53 tie in column 1

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import Counter
 
@@ -79,6 +80,29 @@ def test_equality_and_hash():
     assert a != mp(COMBINED)
     assert a != Matrix(min_plus, START_FINISH)
     assert hash(a) == hash(mp(START_FINISH))
+
+
+# public branches that no other test reaches: each call's value, or the
+# error it raises with its whole message
+@pytest.mark.parametrize("call,outcome", [
+    (lambda: Matrix.zeros(max_plus, 0, 1),
+     ValueError("a matrix needs at least one row and one column")),
+    (lambda: Matrix.identity(max_plus, 0),
+     ValueError("a matrix needs at least one row and one column")),
+    (lambda: ones(max_plus, 0), ValueError("a vector needs at least one component")),
+    (lambda: Matrix.row(max_plus, [1, 2])[1], 2),
+    (lambda: Matrix(max_plus, [[1]]) == 3, False),
+    (lambda: mp([[1]]).leq(mp([[1, 2]])),
+     ShapeMismatch("entrywise comparison needs equal shapes")),
+], ids=["zeros-without-rows", "identity-of-size-0", "ones-of-size-0", "row-single-index",
+        "equal-to-a-number", "leq-of-unequal-shapes"])
+def test_edge_branches(call, outcome):
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}$"):
+            call()
+    else:
+        value = call()
+        assert value == outcome and type(value) is type(outcome)
 
 
 def test_repr_and_str_smoke():

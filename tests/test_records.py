@@ -169,6 +169,12 @@ def test_the_first_broken_precondition_names_the_refusal(a, b, p, message):
     assert str(info.value) == message
 
 
+def test_problem_instance_counts_rows_of_a_and_columns():
+    tall = Matrix(max_plus, [[0, 1], [2, 3], [4, 5]])
+    instance = ProblemInstance(tall, tall, ones(max_plus, 3), ones(max_plus, 3))
+    assert (instance.m, instance.n) == (3, 2)
+
+
 # ----------------------------------------------------------------------
 # copies and pickles: Matrix equality compares semifields by identity
 
